@@ -34,14 +34,50 @@ public:
         }};
     }
 
+    // Fails every outstanding call.  The socket is only shut down while
+    // the reader may be in recv; it is closed after the reader joined and
+    // under the write mutex, so no thread is inside recv or send then.
     void shutdown() {
-        fd_.close();
+        fd_.shutdown();
         if (reader_.joinable() &&
             reader_.get_id() != std::this_thread::get_id()) {
             reader_.join();
         }
+        {
+            const std::lock_guard lock{write_mutex_};
+            fd_.close();
+        }
         fail_pending(std::make_exception_ptr(
             socket_error{ENOTCONN, "connection closed"}));
+    }
+
+    // submission::on_settled: files `fn` for frame `id`; false (leaving
+    // `fn` alone) once the response has been delivered.
+    bool attach(std::uint64_t id, std::function<void(frame)>& fn) {
+        const std::lock_guard lock{pending_mutex_};
+        const auto found = pending_.find(id);
+        if (found == pending_.end()) {
+            return false;
+        }
+        found->second.then = std::move(fn);
+        return true;
+    }
+
+    // What a continuation gets in place of a transport fault.
+    static frame fault_frame(std::uint64_t id,
+                             const std::exception_ptr& error) {
+        frame out;
+        out.payload = encode_error(describe_fault(error));
+        out.header = {message_type::error, id, out.payload.size()};
+        return out;
+    }
+
+    static void run(std::function<void(frame)>& fn, frame response) {
+        try {
+            fn(std::move(response));
+        } catch (...) {
+            // A continuation's failure is its own; the reader moves on.
+        }
     }
 
     // Reserves the next frame id without sending anything.  submit() uses
@@ -52,24 +88,15 @@ public:
         return next_id_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    // Registers a response slot, sends the frame, returns the future the
-    // reader thread will settle.  Any number of threads may call this
-    // concurrently; frames are serialised by the write mutex.  A non-null
-    // span_name asks for an obs span covering send -> response arrival,
-    // recorded by the reader thread under this frame's id — the client half
-    // of the cross-socket stitch (the server stamps the same id into the
-    // request's obs_correlation).
-    std::future<frame> send_request(message_type type,
-                                    std::string_view payload,
-                                    std::uint64_t& id_out,
-                                    const char* span_name = nullptr) {
-        id_out = allocate_id();
-        return send_prepared(type, payload, id_out, span_name);
-    }
-
-    // The allocate_id() half: sends under a caller-reserved id, optionally
-    // tagging the response span with the request's fleet trace id so the
-    // client hop carries the same 128-bit token as the serve-side spans.
+    // Registers a response slot, sends the frame under a reserved id,
+    // returns the future the reader thread will settle.  Any number of
+    // threads may call this concurrently; frames are serialised by the
+    // write mutex.  A non-null span_name asks for an obs span covering
+    // send -> response arrival, recorded by the reader thread under this
+    // frame's id — the client half of the cross-socket stitch (the server
+    // stamps the same id into the request's obs_correlation) — tagged with
+    // the request's fleet trace id, so the client hop carries the same
+    // 128-bit token as the serve-side spans.
     std::future<frame> send_prepared(message_type type,
                                      std::string_view payload,
                                      std::uint64_t id,
@@ -84,16 +111,13 @@ public:
             if (dead_) {
                 std::rethrow_exception(death_);
             }
-            response = pending_
-                           .emplace(id, std::promise<frame>{})
-                           .first->second.get_future();
-            if (sent_ns != 0) {
-                // Registered atomically with the promise, so the reader's
-                // settle() cannot observe the response first and miss it.
-                inflight_spans_.emplace(
-                    id, inflight_span{span_name, sent_ns, trace_hi,
-                                      trace_lo});
-            }
+            // The span is filed atomically with the promise, so the
+            // reader's settle() cannot observe the response first and miss
+            // it.
+            slot& entry = pending_[id];
+            entry.span = {sent_ns != 0 ? span_name : nullptr, sent_ns,
+                          trace_hi, trace_lo};
+            response = entry.promise.get_future();
         }
         const std::string bytes = encode_frame(type, id, payload);
         try {
@@ -102,7 +126,6 @@ public:
         } catch (...) {
             const std::lock_guard lock{pending_mutex_};
             pending_.erase(id);
-            inflight_spans_.erase(id);
             throw;
         }
         return response;
@@ -112,8 +135,8 @@ public:
     // error frames as their fault, rejects anything else as wire_error.
     frame roundtrip(message_type type, std::string_view payload,
                     message_type expected) {
-        std::uint64_t id = 0;
-        return expect(send_request(type, payload, id).get(), expected);
+        return expect(send_prepared(type, payload, allocate_id()).get(),
+                      expected);
     }
 
     static frame expect(frame response, message_type expected) {
@@ -133,66 +156,47 @@ private:
     void read_loop() {
         std::exception_ptr death;
         try {
-            std::string header_bytes(frame_header_bytes, '\0');
-            for (;;) {
-                const std::size_t got = read_exact(
-                    fd_, header_bytes.data(), header_bytes.size());
-                if (got != header_bytes.size()) {
-                    death = std::make_exception_ptr(socket_error{
-                        ECONNRESET, "connection closed by server"});
-                    break;
-                }
-                const frame_header header = parse_header(header_bytes);
-                frame response;
-                response.header = header;
-                response.payload.resize(
-                    static_cast<std::size_t>(header.payload_bytes));
-                if (read_exact(fd_, response.payload.data(),
-                               response.payload.size()) !=
-                    response.payload.size()) {
-                    death = std::make_exception_ptr(socket_error{
-                        ECONNRESET,
-                        "connection closed mid-frame by server"});
-                    break;
-                }
-                settle(header.id, std::move(response));
+            frame response;
+            while (read_frame(fd_, response)) {
+                settle(response.header.id, std::move(response));
             }
+            death = std::make_exception_ptr(
+                socket_error{ECONNRESET, "connection closed by server"});
         } catch (...) {
             // wire_error (the server is speaking garbage) or socket_error:
             // either way this conversation is over.
             death = std::current_exception();
         }
-        fd_.close();
+        fd_.shutdown(); // writers fail fast; shutdown() closes
         fail_pending(death);
     }
 
     void settle(std::uint64_t id, frame response) {
-        std::promise<frame> slot;
-        inflight_span span{};
+        slot entry;
         {
             const std::lock_guard lock{pending_mutex_};
             const auto found = pending_.find(id);
             if (found == pending_.end()) {
                 return; // e.g. the server's id-0 protocol report
             }
-            slot = std::move(found->second);
+            entry = std::move(found->second);
             pending_.erase(found);
-            const auto span_found = inflight_spans_.find(id);
-            if (span_found != inflight_spans_.end()) {
-                span = span_found->second;
-                inflight_spans_.erase(span_found);
-            }
         }
+        const inflight_span& span = entry.span;
         if (span.name != nullptr) {
             obs::recorder::instance().record(
                 span.name, span.sent_ns, obs::now_ns() - span.sent_ns, id, 0,
                 span.trace_hi, span.trace_lo);
         }
-        slot.set_value(std::move(response));
+        if (entry.then) {
+            run(entry.then, std::move(response));
+        } else {
+            entry.promise.set_value(std::move(response));
+        }
     }
 
     void fail_pending(std::exception_ptr error) {
-        std::unordered_map<std::uint64_t, std::promise<frame>> orphans;
+        std::unordered_map<std::uint64_t, slot> orphans;
         {
             const std::lock_guard lock{pending_mutex_};
             if (!dead_) {
@@ -202,13 +206,15 @@ private:
                                      ENOTCONN, "connection closed"});
             }
             orphans.swap(pending_);
-            // Orphaned requests get their fault, not a span — a torn
-            // connection's duration measures nothing.
-            inflight_spans_.clear();
         }
-        for (auto& [id, slot] : orphans) {
-            (void)id;
-            slot.set_exception(death_);
+        // Orphaned requests get their fault, not a span — a torn
+        // connection's duration measures nothing.
+        for (auto& [id, entry] : orphans) {
+            if (entry.then) {
+                run(entry.then, fault_frame(id, death_));
+            } else {
+                entry.promise.set_exception(death_);
+            }
         }
     }
 
@@ -218,17 +224,23 @@ private:
     std::atomic<std::uint64_t> next_id_{1};
 
     // A request the reader should close a span for on arrival (submit
-    // only, today).  Guarded by pending_mutex_, same lifecycle as pending_.
+    // only, today).
     struct inflight_span {
         const char* name{nullptr};
         std::uint64_t sent_ns{0};
         std::uint64_t trace_hi{0};
         std::uint64_t trace_lo{0};
     };
+    // One outstanding request: its response goes to the promise, or to the
+    // continuation when submission::on_settled filed one.
+    struct slot {
+        std::promise<frame> promise;
+        std::function<void(frame)> then;
+        inflight_span span;
+    };
 
     std::mutex pending_mutex_; // dewlint: lock-order net-client-pending 110
-    std::unordered_map<std::uint64_t, std::promise<frame>> pending_;
-    std::unordered_map<std::uint64_t, inflight_span> inflight_spans_;
+    std::unordered_map<std::uint64_t, slot> pending_;
     bool dead_{false};
     std::exception_ptr death_;
 };
@@ -243,6 +255,21 @@ serve::service_result submission::get() {
     const frame response =
         client_core::expect(frame_.get(), message_type::result);
     return decode_result(response.payload);
+}
+
+void submission::on_settled(std::function<void(frame)> fn) {
+    std::future<frame> response = std::move(frame_);
+    if (core_ && core_->attach(id_, fn)) {
+        return;
+    }
+    // Delivered already: the future holds the frame or the transport fault.
+    frame settled;
+    try {
+        settled = response.get();
+    } catch (...) {
+        settled = client_core::fault_frame(id_, std::current_exception());
+    }
+    client_core::run(fn, std::move(settled));
 }
 
 bool submission::cancel() {

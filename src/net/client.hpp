@@ -9,8 +9,9 @@
 //
 // One client is one connection.  A writer mutex serialises request frames;
 // a single reader thread dispatches response frames to their waiting
-// callers by correlation id, so any number of threads can submit/ping/query
-// through one client concurrently and submissions overlap on the wire.  If
+// callers (or their continuations) by correlation id, so any number of
+// threads can submit/ping/query through one client concurrently and
+// submissions overlap on the wire.  If
 // the transport dies, every outstanding and future call fails with
 // socket_error (transient under classify_fault — connection loss is
 // retryable, unlike a protocol violation).
@@ -19,6 +20,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -56,8 +58,17 @@ public:
     // Sends a cancel frame for this submission and waits for the ack.
     // Returns true iff the server's cancel landed before the flight
     // settled; the submission's own response (the cancellation fault, or
-    // the answer if it won the race) still arrives through get().
+    // the answer if it won the race) still arrives through get() — or
+    // through the continuation below.
     bool cancel();
+
+    // Settle-time continuation, for a hop that forwards answers: `fn` gets
+    // the response frame itself (`result` or `error`, payload untouched; an
+    // `error` frame for the transport fault if the connection died) on the
+    // client's reader thread, or now on this thread if it already arrived.
+    // It replaces get(): requires valid(), and afterwards valid() is false.
+    // `fn` should be quick and must not throw (a throw is dropped).
+    void on_settled(std::function<void(frame)> fn);
 
 private:
     friend class client;

@@ -106,7 +106,14 @@ struct router::state {
             });
     }
 
-    ~state() { obs::registry::instance().remove_provider(provider_id); }
+    ~state() {
+        obs::registry::instance().remove_provider(provider_id);
+        // Close the connections while the backends are whole: their filed
+        // continuations release in-flight guards into them.
+        for (const auto& node : backends) {
+            node->connection.reset();
+        }
+    }
 
     // The registry provider: the router's own counters plus per-backend
     // health/load/latency series.  Per-backend names are built from the

@@ -79,6 +79,17 @@ public:
     [[nodiscard]] bool valid() const noexcept { return inner_.valid(); }
     bool cancel() { return inner_.cancel(); }
 
+    // net::submission::on_settled, with the in-flight window ended (the
+    // guard released, on the backend connection's reader) before `fn`
+    // sees the backend's frame.
+    void on_settled(std::function<void(frame)> fn) {
+        inner_.on_settled([guard = std::move(guard_),
+                           fn = std::move(fn)](frame response) mutable {
+            guard.reset();
+            fn(std::move(response));
+        });
+    }
+
     // Which backend (index into router_options::backends) answered.
     [[nodiscard]] std::size_t backend() const noexcept { return backend_; }
 

@@ -24,8 +24,9 @@
 //     caches are per-backend (handoff() moves them backend-to-backend);
 //     a whole-fleet image would splice inconsistent shards.
 //
-// Failure discipline is net::server's: bad header → error + close, bad
-// payload → error + keep serving, service fault → typed error frame.
+// Connections and failure discipline are net::frame_server's, as for
+// net::server.  A backend's `result` or `error` payload is forwarded to the
+// requester byte for byte, by the backend connection's reader.
 #ifndef DEW_NET_ROUTER_SERVER_HPP
 #define DEW_NET_ROUTER_SERVER_HPP
 

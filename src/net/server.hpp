@@ -1,30 +1,18 @@
 // net::server — a TCP front over one serve::service.
 //
 // One server owns one service (and optionally a trace::corpus_registry it
-// hydrates traces from on demand).  Each accepted connection gets a handler
-// thread that reads "DSNW" frames (net/wire.hpp) and dispatches them; a
-// `submit` frame becomes a real serve::service::submit — async, coalescing,
-// cached, deadline-bounded — with a waiter thread that ships the settled
-// future back as a `result` or `error` frame.  Responses carry the request
-// frame's id, so one connection multiplexes any number of in-flight
-// submissions; `cancel` frames withdraw them by id.
-//
-// Failure discipline (mirrors the hardened readers everywhere else):
-//   * A malformed frame *header* is unrecoverable — framing is lost — so the
-//     server answers with an `error` frame (fault_code::protocol, id 0) and
-//     closes that connection.  Other connections and the service are
-//     untouched.
-//   * A malformed *payload* under a valid header is recoverable: the server
-//     answers `error` (protocol, the request's id) and keeps serving the
-//     same connection.
-//   * A request that fails in the service (unknown digest, ill-formed
-//     sweep, overload, timeout, cancellation, engine fault) is answered by
-//     an `error` frame whose fault_code reproduces the exception type
-//     client-side — serve::classify_fault agrees across the wire.
-//
-// stop() (also the destructor) closes the listener and every connection,
-// then joins every thread — handlers, waiters, acceptor.  Nothing is ever
-// detached.
+// hydrates traces from on demand) behind a net::frame_server, which runs
+// the connections and their failure discipline (net/frame_server.hpp).  A
+// `submit` frame becomes a real serve::service::submit — async,
+// coalescing, cached, deadline-bounded — answered by completion: the
+// thread that settles it queues the `result` or `error` frame for the
+// connection's writer.  Responses carry the request frame's id, so one
+// connection multiplexes any number of in-flight submissions; `cancel`
+// frames withdraw them by id.  A request that fails in the service
+// (unknown digest, ill-formed sweep, overload, timeout, cancellation,
+// engine fault) is answered by an `error` frame whose fault_code
+// reproduces the exception type client-side — serve::classify_fault
+// agrees across the wire.
 #ifndef DEW_NET_SERVER_HPP
 #define DEW_NET_SERVER_HPP
 
@@ -63,9 +51,8 @@ public:
     [[nodiscard]] std::uint16_t port() const noexcept;
 
     // Closes the listener and all connections, joins every thread.
-    // Idempotent.  In-flight submissions settle first (the service
-    // completes its queue) — a paused service is resumed so stop() cannot
-    // deadlock behind its own workers.
+    // Idempotent.  Returns once every in-flight submission has settled
+    // (the service completes its queue; a paused service is resumed).
     void stop();
 
     // The served service, for in-process observation and staging (tests

@@ -40,12 +40,16 @@ socket_fd& socket_fd::operator=(socket_fd&& other) noexcept {
     return *this;
 }
 
+void socket_fd::shutdown() const noexcept {
+    const int fd = get();
+    if (fd >= 0) {
+        (void)::shutdown(fd, SHUT_RDWR);
+    }
+}
+
 void socket_fd::close() noexcept {
     const int fd = release();
     if (fd >= 0) {
-        // Shutdown first so a peer thread blocked in recv/accept on this fd
-        // wakes with an error instead of waiting on a closed descriptor
-        // number that may be reused.
         (void)::shutdown(fd, SHUT_RDWR);
         (void)::close(fd);
     }

@@ -1,8 +1,9 @@
 // Thin RAII layer over POSIX TCP sockets — everything src/net/ needs and
 // nothing more: bind/listen/accept/connect on IPv4, full-buffer reads and
 // writes that survive EINTR and partial transfers, and a file-descriptor
-// owner whose close() can be raced safely from another thread to unblock a
-// peer stuck in a read (the server's stop path).
+// owner whose shutdown() unblocks a peer thread stuck in a read or write
+// (the stop and teardown paths) without freeing the descriptor number
+// under it.
 //
 // Failures throw net::socket_error (a std::system_error carrying errno), so
 // transport faults are distinguishable from wire-format faults
@@ -25,9 +26,10 @@ public:
         : std::system_error{err, std::generic_category(), what} {}
 };
 
-// Owns one file descriptor.  Movable, not copyable.  close() is idempotent
-// and callable concurrently with a blocked read/write on the same fd: it
-// shuts the socket down first, which unblocks the peer with an error.
+// Owns one file descriptor.  Movable, not copyable.  Any thread may
+// shutdown() the socket to wake a peer blocked on it; only the owner
+// close()s it, once no other thread can be inside a call on it — so no call
+// ever lands on a descriptor number the kernel has reused.
 class socket_fd {
 public:
     socket_fd() = default;
@@ -47,8 +49,10 @@ public:
         return fd_.exchange(-1, std::memory_order_acq_rel);
     }
 
-    // Shutdown + close; safe to call twice and from a thread other than the
-    // one blocked in read_exact/write_all.
+    // SHUT_RDWR, keeping the descriptor; idempotent.
+    void shutdown() const noexcept;
+
+    // Shutdown + close; idempotent, owner only (see above).
     void close() noexcept;
 
 private:

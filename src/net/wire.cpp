@@ -1,11 +1,13 @@
 #include "net/wire.hpp"
 
 #include <bit>
+#include <cerrno>
 #include <cstring>
 #include <sstream>
 #include <utility>
 
 #include "dew/result_io.hpp"
+#include "net/socket.hpp"
 #include "phase/representative_sweep.hpp"
 #include "trace/fault.hpp"
 
@@ -235,6 +237,25 @@ frame parse_frame(std::string_view bytes) {
                                         header.payload_bytes)};
     }
     return {header, std::string{body}};
+}
+
+bool read_frame(const socket_fd& socket, frame& out) {
+    char header[frame_header_bytes];
+    const std::size_t got = read_exact(socket, header, sizeof header);
+    if (got == 0) {
+        return false;
+    }
+    if (got == sizeof header) {
+        out.header = parse_header({header, sizeof header});
+        out.payload =
+            std::string(static_cast<std::size_t>(out.header.payload_bytes),
+                        '\0');
+        if (read_exact(socket, out.payload.data(), out.payload.size()) ==
+            out.payload.size()) {
+            return true;
+        }
+    }
+    throw socket_error{ECONNRESET, "connection closed mid-frame"};
 }
 
 // --- Fault taxonomy ---------------------------------------------------------

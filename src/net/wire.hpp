@@ -134,9 +134,15 @@ struct frame {
 
 // Parses one whole frame from an in-memory buffer: the header plus exactly
 // payload_bytes of payload must be present (no more, no less) — the
-// all-at-once form the tests and the cache handoff use.  Socket paths read
-// the header and payload separately with parse_header.
+// all-at-once form the tests and the cache handoff use.
 [[nodiscard]] frame parse_frame(std::string_view bytes);
+
+class socket_fd; // net/socket.hpp
+
+// Reads the next frame off a socket into `out` (the socket paths' form).
+// False at a clean EOF between frames; throws wire_error on a malformed
+// header and socket_error on a transport failure or a torn frame.
+bool read_frame(const socket_fd& socket, frame& out);
 
 // --- Fault taxonomy over the wire -------------------------------------------
 

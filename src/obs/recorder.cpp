@@ -34,26 +34,70 @@ struct ring {
 
 struct recorder::impl {
     std::atomic<bool> enabled{true};
-    // Guards ring registration and the ring list's shape only — never a
-    // record() and never held while calling out.
+    // Guards ring registration, the free list and the ring list's shape
+    // only — never a record() and never held while calling out.
     std::mutex rings_mutex; // dewlint: lock-order obs-rings 130
     std::vector<std::unique_ptr<ring>> rings;
+    // Rings whose thread exited, for the next new thread to take over, tid
+    // and retained spans included: ring memory is bounded by the peak
+    // number of live recording threads, not by threads ever started.
+    std::vector<ring*> free_rings;
 
-    ring& register_ring() {
+    // The ring list's shape, under the registration lock; the rings
+    // themselves are then read lock-free (they are never deallocated).
+    std::vector<ring*> snapshot() {
         const std::lock_guard<std::mutex> lock{rings_mutex};
+        std::vector<ring*> out;
+        out.reserve(rings.size());
+        for (const std::unique_ptr<ring>& r : rings) {
+            out.push_back(r.get());
+        }
+        return out;
+    }
+
+    ring& acquire_ring() {
+        const std::lock_guard<std::mutex> lock{rings_mutex};
+        if (!free_rings.empty()) {
+            ring* reused = free_rings.back();
+            free_rings.pop_back();
+            return *reused;
+        }
         rings.push_back(std::make_unique<ring>());
         rings.back()->tid = static_cast<std::uint32_t>(rings.size());
         return *rings.back();
     }
 
-    // The calling thread's ring; registered (one mutex + one allocation)
-    // on first use, cached thread-locally forever after.  Rings are owned
-    // by the leaked singleton, so a collect() after the thread exited
-    // still sees its spans.
+    // Hands a thread's ring back when the thread exits.  The ring stays
+    // owned by the leaked singleton, so collect() keeps reading it
+    // lock-free, and the free-list lock orders the old owner's last record
+    // before the new owner's first.
+    struct lease {
+        impl* owner;
+        ring** cached;
+        bool* released;
+        lease(impl* o, ring** c, bool* r) : owner{o}, cached{c}, released{r} {}
+        lease(const lease&) = delete;
+        lease& operator=(const lease&) = delete;
+        ~lease() {
+            const std::lock_guard<std::mutex> lock{owner->rings_mutex};
+            owner->free_rings.push_back(*cached);
+            *cached = nullptr;
+            *released = true;
+        }
+    };
+
+    // The calling thread's ring; taken (one mutex, at most one allocation)
+    // on first use and cached thread-locally until the thread exits.  A
+    // record made during thread exit, after the lease has run, takes a
+    // ring it keeps: nothing is left to hand it back.
     ring& local_ring() {
         thread_local ring* cached = nullptr;
+        thread_local bool released = false;
         if (cached == nullptr) {
-            cached = &register_ring();
+            cached = &acquire_ring();
+            if (!released) {
+                thread_local lease handback{this, &cached, &released};
+            }
         }
         return *cached;
     }
@@ -112,17 +156,7 @@ std::vector<span_event> recorder::collect() const {
     if constexpr (!compiled_in) {
         return out;
     }
-    // Snapshot the ring list shape under the registration lock; the rings
-    // themselves are then read lock-free (they are never deallocated).
-    std::vector<ring*> rings;
-    {
-        const std::lock_guard<std::mutex> lock{impl_->rings_mutex};
-        rings.reserve(impl_->rings.size());
-        for (const std::unique_ptr<ring>& r : impl_->rings) {
-            rings.push_back(r.get());
-        }
-    }
-    for (ring* r : rings) {
+    for (ring* r : impl_->snapshot()) {
         const std::uint64_t head = r->head.load(std::memory_order_acquire);
         const std::uint64_t count =
             head < ring_capacity ? head : ring_capacity;
@@ -162,15 +196,7 @@ void recorder::clear() noexcept {
     if constexpr (!compiled_in) {
         return;
     }
-    std::vector<ring*> rings;
-    {
-        const std::lock_guard<std::mutex> lock{impl_->rings_mutex};
-        rings.reserve(impl_->rings.size());
-        for (const std::unique_ptr<ring>& r : impl_->rings) {
-            rings.push_back(r.get());
-        }
-    }
-    for (ring* r : rings) {
+    for (ring* r : impl_->snapshot()) {
         for (slot& s : r->slots) {
             s.seq.store(0, std::memory_order_relaxed);
             s.name.store(nullptr, std::memory_order_relaxed);

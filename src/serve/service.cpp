@@ -103,9 +103,10 @@ struct counters {
 
 // One caller of one flight.  `deadline` is absolute (no_deadline = none);
 // `settled` flips exactly once — whichever of answer / fault / timeout /
-// cancel gets there first owns the promise.
+// cancel gets there first owns the promise and the continuation.
 struct waiter {
     std::promise<service_result> promise;
+    std::function<void()> then; // submission::on_settled; empty = none
     clock::time_point deadline{no_deadline};
     bool settled{false};
     // This caller's own telemetry identity (coalesced waiters each carried
@@ -116,11 +117,49 @@ struct waiter {
     std::uint64_t trace_lo{0};
 };
 
-} // namespace
+// Marks `w` settled and moves out what settling it needs (its promise and
+// continuation), under the flight lock; settle() then runs unlocked.
+[[nodiscard]] waiter take(waiter& w) {
+    waiter out = std::move(w);
+    w.settled = true;
+    return out;
+}
+
+// The one way a waiter settles, at all five sites (cache answer, cancel,
+// deadline sweep, flight completion, flight unwind): publish the answer or
+// the fault, then run the continuation.  Never called under a service
+// lock: a continuation may queue a network reply, or submit again.
+void settle(waiter& w, const std::exception_ptr& error,
+            service_result result = {}) {
+    if (error) {
+        w.promise.set_exception(error);
+    } else {
+        w.promise.set_value(std::move(result));
+    }
+    if (w.then) {
+        try {
+            w.then();
+        } catch (...) {
+            // A continuation's failure is its own; the answer stands.
+        }
+    }
+}
+
+// One settled waiter -> one wide event + one SLO recording.  State-free,
+// so a cancel after the service is destroyed still records its outcome.
+void settle_event(obs::event_ring& ring, obs::slo_window& window,
+                  obs::request_event event) {
+    const std::uint64_t now = obs::now_ns();
+    if (event.start_ns == 0) {
+        event.start_ns = now >= event.total_ns ? now - event.total_ns : 0;
+    }
+    ring.push(event);
+    window.record(now, event.total_ns);
+}
 
 // One registered trace: the records, their content digest, and the lazily-
 // built block-number streams shared by every request that touches the trace.
-struct service::trace_entry {
+struct trace_entry {
     std::string name;
     trace::mem_trace records;
     trace::trace_digest digest;
@@ -136,9 +175,11 @@ struct service::trace_entry {
         streams; // keyed by log2(block size)
 };
 
+} // namespace
+
 // One coalesced computation: every submit of the same key while this flight
 // is in the air appends a waiter instead of new work.
-struct service::flight {
+struct detail::flight {
     service_request request; // canonical form — what actually runs
     request_key key;
     std::shared_ptr<trace_entry> trace;
@@ -181,7 +222,107 @@ struct service::flight {
     // request's total into queue_ns and run_ns.
     std::uint64_t admitted_ns{0};
     std::atomic<std::uint64_t> pickup_ns{0};
+
+    // The service's books, shared so that a cancel after the service is
+    // gone still counts and records its outcome.
+    std::shared_ptr<counters> ctrs;
+    std::shared_ptr<obs::event_ring> events;
+    std::shared_ptr<obs::slo_window> slo;
+    std::uint64_t node{0};
+
+    // Waiter `w`'s wide event: the flight-derived fields, the waiter's own
+    // telemetry identity and the disposition.
+    [[nodiscard]] obs::request_event
+    event(const waiter& w, obs::event_disposition disposition) const {
+        obs::request_event e;
+        e.trace_hi = w.trace_hi;
+        e.trace_lo = w.trace_lo;
+        e.correlation = w.correlation;
+        e.disposition = disposition;
+        e.key_hi = key.request[0];
+        e.key_lo = key.request[1];
+        e.node = node;
+        e.tier = degraded || request.mode == service_mode::representative
+                     ? 1
+                     : 0;
+        e.retries = attempt.load(std::memory_order_relaxed);
+        e.start_ns = admitted_ns;
+        const std::uint64_t now = obs::now_ns();
+        e.total_ns = now >= admitted_ns ? now - admitted_ns : 0;
+        const std::uint64_t pickup = pickup_ns.load(std::memory_order_relaxed);
+        if (pickup >= admitted_ns && pickup != 0) {
+            e.queue_ns = pickup - admitted_ns;
+            e.run_ns = now >= pickup ? now - pickup : 0;
+        }
+        return e;
+    }
+
+    // submission::cancel of waiter `index`.
+    bool cancel(std::size_t index) {
+        waiter taken;
+        obs::request_event e;
+        {
+            const std::lock_guard<std::mutex> lock{mutex};
+            waiter& w = waiters[index];
+            if (w.settled) {
+                return false;
+            }
+            taken = take(w);
+            --live;
+            ctrs->cancellations.fetch_add(1, std::memory_order_relaxed);
+            ctrs->completed.fetch_add(1, std::memory_order_relaxed);
+            if (live == 0) {
+                abandoned.store(true, std::memory_order_release);
+            }
+            e = event(w, obs::event_disposition::cancelled);
+        }
+        settle_event(*events, *slo, e);
+        settle(taken, std::make_exception_ptr(
+                          service_cancelled{"serve: submission cancelled"}));
+        return true;
+    }
+
+    // Takes out every waiter not yet settled, each with its wide event
+    // (`disposition(index)`), leaving none live.  The vector keeps its
+    // shape, which outstanding cancel levers index into.
+    template <class Disposition>
+    [[nodiscard]] std::vector<std::pair<waiter, obs::request_event>>
+    take_live(Disposition disposition) {
+        std::vector<std::pair<waiter, obs::request_event>> out;
+        const std::lock_guard<std::mutex> lock{mutex};
+        out.reserve(live);
+        for (std::size_t i = 0; i < waiters.size(); ++i) {
+            if (!waiters[i].settled) {
+                const obs::request_event e = event(waiters[i], disposition(i));
+                out.emplace_back(take(waiters[i]), e);
+            }
+        }
+        live = 0;
+        return out;
+    }
 };
+
+using detail::flight;
+
+bool submission::cancel() { return flight_ && flight_->cancel(waiter_); }
+
+void submission::on_settled(std::function<void()> fn) {
+    if (flight_) {
+        const std::lock_guard<std::mutex> lock{flight_->mutex};
+        waiter& w = flight_->waiters[waiter_];
+        if (!w.settled) {
+            w.then = std::move(fn);
+            return;
+        }
+    }
+    // Settled already: run once the settling thread has published.
+    future_.wait();
+    try {
+        fn();
+    } catch (...) {
+        // Dropped, as on the settling path.
+    }
+}
 
 struct service::job {
     std::shared_ptr<flight> target;
@@ -197,8 +338,8 @@ struct service::state {
     std::shared_ptr<counters> ctrs = std::make_shared<counters>();
 
     // Wide per-request events and the rolling SLO window, shared like the
-    // counters: cancel() closures settle waiters after the service may be
-    // gone and must still record the outcome.
+    // counters: cancel levers settle waiters after the service may be gone
+    // and must still record the outcome.
     std::shared_ptr<obs::event_ring> events;
     std::shared_ptr<obs::slo_window> slo;
 
@@ -252,44 +393,6 @@ struct service::state {
               opts.slo_window.count() > 0
                   ? static_cast<std::uint64_t>(opts.slo_window.count())
                   : 1)} {}
-
-    // One settled waiter -> one wide event + one SLO recording.  Static
-    // (state-free) so the cancel closures can call it through their own
-    // captured ring/window after the service is destroyed.
-    static void settle_event(obs::event_ring& ring, obs::slo_window& window,
-                             obs::request_event event) {
-        const std::uint64_t now = obs::now_ns();
-        if (event.start_ns == 0) {
-            event.start_ns = now >= event.total_ns ? now - event.total_ns : 0;
-        }
-        ring.push(event);
-        window.record(now, event.total_ns);
-    }
-
-    // The flight-derived parts of a wide event; the caller fills the
-    // per-waiter identity (correlation/trace) and the disposition.
-    static obs::request_event flight_event(const flight& f,
-                                           std::uint64_t node) {
-        obs::request_event e;
-        e.key_hi = f.key.request[0];
-        e.key_lo = f.key.request[1];
-        e.node = node;
-        e.tier = f.degraded ||
-                         f.request.mode == service_mode::representative
-                     ? 1
-                     : 0;
-        e.retries = f.attempt.load(std::memory_order_relaxed);
-        e.start_ns = f.admitted_ns;
-        const std::uint64_t now = obs::now_ns();
-        e.total_ns = now >= f.admitted_ns ? now - f.admitted_ns : 0;
-        const std::uint64_t pickup =
-            f.pickup_ns.load(std::memory_order_relaxed);
-        if (pickup >= f.admitted_ns && pickup != 0) {
-            e.queue_ns = pickup - f.admitted_ns;
-            e.run_ns = now >= pickup ? now - pickup : 0;
-        }
-        return e;
-    }
 
     // The obs::registry provider: every counter, gauge and stage
     // histogram under one "serve." namespace (docs/OBSERVABILITY.md).
@@ -403,11 +506,6 @@ struct service::state {
     answer_from_cache(const std::shared_ptr<const cached_value>& cached,
                       const service_request& normal, const request_key& key,
                       std::uint64_t admitted_ns) {
-        std::promise<service_result> promise;
-        service_result result = to_result(*cached);
-        result.cache_hit = true;
-        std::future<service_result> future = promise.get_future();
-        promise.set_value(std::move(result));
         ctrs->cache_hits.fetch_add(1, std::memory_order_relaxed);
         ctrs->completed.fetch_add(1, std::memory_order_relaxed);
         obs::request_event e;
@@ -423,40 +521,12 @@ struct service::state {
         const std::uint64_t now = obs::now_ns();
         e.total_ns = now >= admitted_ns ? now - admitted_ns : 0;
         settle_event(*events, *slo, e);
-        return submission{std::move(future), {}};
-    }
-
-    // The cancel lever for waiter `index` of `f`.  Captures only the
-    // flight and the counters (both shared), so it outlives the service.
-    [[nodiscard]] std::function<bool()>
-    make_cancel(std::shared_ptr<flight> f, std::size_t index) {
-        return [f = std::move(f), index, c = ctrs, ring = events,
-                window = slo, node = options.node_id]() -> bool {
-            obs::request_event e;
-            {
-                const std::lock_guard<std::mutex> lock{f->mutex};
-                waiter& w = f->waiters[index];
-                if (w.settled) {
-                    return false;
-                }
-                w.settled = true;
-                w.promise.set_exception(std::make_exception_ptr(
-                    service_cancelled{"serve: submission cancelled"}));
-                --f->live;
-                c->cancellations.fetch_add(1, std::memory_order_relaxed);
-                c->completed.fetch_add(1, std::memory_order_relaxed);
-                if (f->live == 0) {
-                    f->abandoned.store(true, std::memory_order_release);
-                }
-                e = flight_event(*f, node);
-                e.correlation = w.correlation;
-                e.trace_hi = w.trace_hi;
-                e.trace_lo = w.trace_lo;
-                e.disposition = obs::event_disposition::cancelled;
-            }
-            settle_event(*ring, *window, e);
-            return true;
-        };
+        service_result result = to_result(*cached);
+        result.cache_hit = true;
+        waiter answered;
+        std::future<service_result> future = answered.promise.get_future();
+        settle(answered, nullptr, std::move(result));
+        return submission{std::move(future), nullptr, 0};
     }
 
     // Settles every waiter whose deadline has passed.  Called at the two
@@ -467,7 +537,8 @@ struct service::state {
             return;
         }
         const clock::time_point now = clock::now();
-        std::vector<obs::request_event> expired;
+        std::vector<waiter> expired;
+        std::vector<obs::request_event> expired_events;
         {
             const std::lock_guard<std::mutex> lock{f.mutex};
             if (now < f.earliest_deadline) {
@@ -482,20 +553,12 @@ struct service::state {
                     next = std::min(next, w.deadline);
                     continue;
                 }
-                w.settled = true;
-                w.promise.set_exception(
-                    std::make_exception_ptr(service_timeout{
-                        "serve: submission deadline passed before the "
-                        "answer was ready"}));
+                expired.push_back(take(w));
                 --f.live;
                 ctrs->timeouts.fetch_add(1, std::memory_order_relaxed);
                 ctrs->completed.fetch_add(1, std::memory_order_relaxed);
-                obs::request_event e = flight_event(f, options.node_id);
-                e.correlation = w.correlation;
-                e.trace_hi = w.trace_hi;
-                e.trace_lo = w.trace_lo;
-                e.disposition = obs::event_disposition::timeout;
-                expired.push_back(e);
+                expired_events.push_back(
+                    f.event(w, obs::event_disposition::timeout));
             }
             f.earliest_deadline = next;
             if (f.live == 0 &&
@@ -505,8 +568,15 @@ struct service::state {
                                                 std::memory_order_relaxed);
             }
         }
-        for (const obs::request_event& e : expired) {
+        for (const obs::request_event& e : expired_events) {
             settle_event(*events, *slo, e);
+        }
+        const std::exception_ptr timeout =
+            std::make_exception_ptr(service_timeout{
+                "serve: submission deadline passed before the answer was "
+                "ready"});
+        for (waiter& w : expired) {
+            settle(w, timeout);
         }
     }
 
@@ -828,51 +898,21 @@ struct service::state {
                 flights.erase(it);
             }
         }
-        // Settle the live waiters.  Promises are moved out one by one so
-        // the vector's shape — which outstanding cancel() closures index
-        // into — survives; a moved-from promise behind a `settled` flag is
-        // never touched again.
-        struct settled_waiter {
-            std::promise<service_result> promise;
-            bool joined{false};
-            std::uint64_t correlation{0};
-            std::uint64_t trace_hi{0};
-            std::uint64_t trace_lo{0};
-        };
-        std::vector<settled_waiter> fulfil;
-        {
-            const std::lock_guard<std::mutex> lock{f->mutex};
-            fulfil.reserve(f->live);
-            for (std::size_t i = 0; i < f->waiters.size(); ++i) {
-                waiter& w = f->waiters[i];
-                if (w.settled) {
-                    continue;
-                }
-                w.settled = true;
-                fulfil.push_back({std::move(w.promise), i > 0,
-                                  w.correlation, w.trace_hi, w.trace_lo});
-            }
-            f->live = 0;
-        }
-        // One wide event per settled waiter, each under its own telemetry
-        // identity; the disposition ranks failure > degraded > coalesced.
-        // Recorded BEFORE the promises fire: the instant set_value runs,
-        // the waiting hop can send its response and close its span, and
-        // any telemetry still trickling in after that would land outside
-        // the client's span interval (the containment obs.stitch_test and
-        // obs.fleet_test prove).
-        for (const settled_waiter& w : fulfil) {
-            obs::request_event e = flight_event(*f, options.node_id);
-            e.correlation = w.correlation;
-            e.trace_hi = w.trace_hi;
-            e.trace_lo = w.trace_lo;
-            e.disposition =
-                error ? obs::event_disposition::failed
-                : f->degraded
-                    ? obs::event_disposition::degraded
-                    : (w.joined ? obs::event_disposition::coalesced
-                                : obs::event_disposition::computed);
-            settle_event(*events, *slo, e);
+        // Settle the live waiters, one wide event each under its own
+        // telemetry identity; the disposition ranks failure > degraded >
+        // coalesced.  The events are recorded BEFORE the waiters settle:
+        // the instant one does, its continuation can send the response and
+        // the requester close its span, and telemetry trickling in after
+        // that would land outside the client's span interval (the
+        // containment obs.stitch_test and obs.fleet_test prove).
+        auto fulfil = f->take_live([&](std::size_t index) {
+            return error         ? obs::event_disposition::failed
+                   : f->degraded ? obs::event_disposition::degraded
+                   : index > 0   ? obs::event_disposition::coalesced
+                                 : obs::event_disposition::computed;
+        });
+        for (const auto& settled : fulfil) {
+            settle_event(*events, *slo, settled.second);
         }
         settle_span.finish();
         // The whole-flight span: creation -> settled, the envelope the
@@ -886,17 +926,17 @@ struct service::state {
         // Counted before the promises fire: a caller returning from get()
         // must observe itself in `completed`.
         ctrs->completed.fetch_add(fulfil.size(), std::memory_order_relaxed);
-        for (settled_waiter& w : fulfil) {
-            if (error) {
-                w.promise.set_exception(error);
-            } else {
-                service_result result = to_result(value);
-                result.coalesced = w.joined;
+        for (auto& [w, e] : fulfil) {
+            service_result result;
+            if (!error) {
+                result = to_result(value);
+                result.coalesced =
+                    e.disposition == obs::event_disposition::coalesced;
                 result.degraded = f->degraded;
                 result.flight_retries =
                     f->attempt.load(std::memory_order_relaxed);
-                w.promise.set_value(std::move(result));
             }
+            settle(w, error, std::move(result));
         }
         close_flight();
     }
@@ -963,34 +1003,15 @@ struct service::state {
             disposition = obs::event_disposition::rejected;
         } catch (...) {
         }
-        std::vector<std::promise<service_result>> fulfil;
-        std::vector<obs::request_event> unwound;
-        {
-            const std::lock_guard<std::mutex> lock{f->mutex};
-            fulfil.reserve(f->live);
-            for (waiter& w : f->waiters) {
-                if (w.settled) {
-                    continue;
-                }
-                w.settled = true;
-                fulfil.push_back(std::move(w.promise));
-                obs::request_event e = flight_event(*f, options.node_id);
-                e.correlation = w.correlation;
-                e.trace_hi = w.trace_hi;
-                e.trace_lo = w.trace_lo;
-                e.disposition = disposition;
-                unwound.push_back(e);
-            }
-            f->live = 0;
-        }
+        auto fulfil = f->take_live([disposition](std::size_t) {
+            return disposition;
+        });
         // Unwound submissions are still completed submissions: the
         // submitted/completed balance must survive a rejection.
         ctrs->completed.fetch_add(fulfil.size(), std::memory_order_relaxed);
-        for (std::promise<service_result>& promise : fulfil) {
-            promise.set_exception(error);
-        }
-        for (const obs::request_event& e : unwound) {
+        for (auto& [w, e] : fulfil) {
             settle_event(*events, *slo, e);
+            settle(w, error);
         }
         close_flight();
     }
@@ -1209,9 +1230,8 @@ submission service::submit(std::string_view trace_name,
                 ++current->live;
                 future = w.promise.get_future();
                 s.ctrs->coalesced.fetch_add(1, std::memory_order_relaxed);
-                return submission{
-                    std::move(future),
-                    s.make_cancel(current, current->waiters.size() - 1)};
+                return submission{std::move(future), current,
+                                  current->waiters.size() - 1};
             }
         }
         // The flight may have finished between the cache probe above and
@@ -1249,6 +1269,10 @@ submission service::submit(std::string_view trace_name,
         f->obs_fingerprint = key.request[0];
         f->start_ns = obs::timestamp_if_enabled();
         f->admitted_ns = admitted_ns;
+        f->ctrs = s.ctrs;
+        f->events = s.events;
+        f->slo = s.slo;
+        f->node = s.options.node_id;
         f->waiters.emplace_back();
         f->waiters.back().deadline = deadline_at;
         f->waiters.back().correlation = normal.obs_correlation;
@@ -1279,7 +1303,7 @@ submission service::submit(std::string_view trace_name,
         s.fail_flight(f, std::current_exception());
         throw;
     }
-    return submission{std::move(future), s.make_cancel(f, 0)};
+    return submission{std::move(future), std::move(f), 0};
 }
 
 void service::drain() {

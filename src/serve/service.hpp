@@ -259,8 +259,13 @@ struct service_stats {
     }
 };
 
-// The handle submit() returns: the result future plus the lever to withdraw
-// the submission.  Movable, not copyable (it owns the future).
+namespace detail {
+struct flight; // one coalesced computation (serve/service.cpp)
+} // namespace detail
+
+// The handle submit() returns: the result future plus the levers to
+// withdraw the submission or to be called back when it settles.  Movable,
+// not copyable (it owns the future).
 class submission {
 public:
     submission() = default;
@@ -284,16 +289,25 @@ public:
     // already settled (answered, failed, timed out, or cancelled before) —
     // a settled answer stays readable through get().  Safe to call after
     // the service is gone; never blocks on a simulation.
-    bool cancel() { return cancel_ && cancel_(); }
+    bool cancel();
+
+    // Settle-time continuation: runs `fn` once the answer or fault is
+    // readable through get(), on the thread that settled it (a worker, a
+    // cancel() caller) outside every service lock — or now on this thread
+    // if it already settled.  Register at most one; `fn` should be quick
+    // and must not throw (a throw is dropped).  None costs nothing.
+    void on_settled(std::function<void()> fn);
 
 private:
     friend class service;
     submission(std::future<service_result> future,
-               std::function<bool()> cancel)
-        : future_{std::move(future)}, cancel_{std::move(cancel)} {}
+               std::shared_ptr<detail::flight> flight, std::size_t waiter)
+        : future_{std::move(future)}, flight_{std::move(flight)},
+          waiter_{waiter} {}
 
     std::future<service_result> future_;
-    std::function<bool()> cancel_;
+    std::shared_ptr<detail::flight> flight_; // null: answered at submit
+    std::size_t waiter_{0};
 };
 
 class service {
@@ -353,8 +367,6 @@ public:
                                  load_mode mode = load_mode::strict);
 
 private:
-    struct trace_entry;
-    struct flight;
     struct job;
     struct state;
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <set>
 #include <string>
 #include <thread>
@@ -113,14 +114,18 @@ TEST_F(Recorder, SpanRecordsDurationAndLateIdentity) {
 TEST_F(Recorder, ConcurrentWritersEachKeepTheirOwnRing) {
     constexpr int threads = 8;
     constexpr std::uint64_t per_thread = 1000; // < ring_capacity
+    // Every writer stays alive until all have recorded: a ring is
+    // recycled when its thread exits, so only live threads are concurrent.
+    std::latch all_recorded{threads};
     std::vector<std::thread> workers;
     workers.reserve(threads);
     for (int t = 0; t < threads; ++t) {
-        workers.emplace_back([t] {
+        workers.emplace_back([t, &all_recorded] {
             for (std::uint64_t i = 0; i < per_thread; ++i) {
                 recorder::instance().record(
                     "test.mt", static_cast<std::uint64_t>(t), 1, i, 0);
             }
+            all_recorded.arrive_and_wait();
         });
     }
     for (std::thread& w : workers) {
@@ -134,6 +139,39 @@ TEST_F(Recorder, ConcurrentWritersEachKeepTheirOwnRing) {
         tids.insert(e.tid);
     }
     EXPECT_EQ(tids.size(), static_cast<std::size_t>(threads));
+}
+
+TEST_F(Recorder, ShortLivedThreadsRecycleRingsWithWellFormedSpans) {
+    // A ring goes back to a free list when its thread exits and the next
+    // new thread takes it over, so ring memory follows the peak number of
+    // live threads (here: this one plus one writer), not the number of
+    // threads ever started.
+    constexpr std::uint64_t writers = 512;
+    for (std::uint64_t i = 0; i < writers; ++i) {
+        std::thread writer{[i] {
+            recorder::instance().record("test.recycle", 1000 + i, 10 + i, i,
+                                        ~i, i, 0);
+        }};
+        writer.join();
+    }
+    const auto got =
+        events_named(recorder::instance().collect(), "test.recycle");
+    ASSERT_EQ(got.size(), writers);
+    std::set<std::uint32_t> tids;
+    std::set<std::uint64_t> seen;
+    for (const span_event& e : got) {
+        tids.insert(e.tid);
+        const std::uint64_t i = e.correlation;
+        ASSERT_LT(i, writers);
+        EXPECT_TRUE(seen.insert(i).second) << "span " << i << " twice";
+        EXPECT_NE(e.tid, 0u);
+        EXPECT_EQ(e.start_ns, 1000 + i);
+        EXPECT_EQ(e.dur_ns, 10 + i);
+        EXPECT_EQ(e.fingerprint, ~i);
+        EXPECT_EQ(e.trace_hi, i);
+        EXPECT_EQ(e.trace_lo, 0u);
+    }
+    EXPECT_LE(tids.size(), 2u);
 }
 
 TEST_F(Recorder, CollectRacingWritersNeverTears) {
