@@ -22,6 +22,7 @@
 #include <thread>
 
 #include <future>
+#include <random>
 #include <vector>
 
 #include "baseline/dinero_sim.hpp"
@@ -457,8 +458,11 @@ struct service_measurement {
     double p99_ms{0.0};
     // Observability cost on the storm + replay serving mix: recording
     // enabled vs runtime-disabled (one relaxed load — the compiled-off
-    // stand-in, see docs/OBSERVABILITY.md), as a percentage slowdown.
+    // stand-in, see docs/OBSERVABILITY.md), as a percentage slowdown: the
+    // median of paired ratios and its bootstrap 95% interval.
     double obs_overhead_pct{0.0};
+    double obs_overhead_ci_lo_pct{0.0};
+    double obs_overhead_ci_hi_pct{0.0};
 };
 
 service_measurement measure_service() {
@@ -560,11 +564,11 @@ service_measurement measure_service() {
     // magnitude above the true span cost, so the estimator is built for
     // that regime: on/off run as adjacent pairs (sharing the machine's
     // drift state) with alternating order, each pair yields one on/off
-    // slowdown ratio, and the reported figure is the lower quartile of
-    // the pair ratios — it reads nonzero only when three quarters of the
-    // paired comparisons agree recording is slower, yet a real
-    // multi-percent regression still shifts every pair and lands above
-    // the budget.
+    // slowdown ratio, and the reported figure is the median of the pair
+    // ratios, unclamped, with a bootstrap 95% interval.  A negative
+    // reading is noise the interval must straddle, not a zero; a real
+    // regression moves the whole interval above the budget, so the
+    // estimator can report a failure.
     {
         const auto mix_seconds = [&] {
             serve::service wave_service{
@@ -620,9 +624,32 @@ service_measurement measure_service() {
             pair_ratios.push_back(on_seconds / off_seconds - 1.0);
         }
         obs::recorder::instance().set_enabled(true);
-        std::sort(pair_ratios.begin(), pair_ratios.end());
-        m.obs_overhead_pct =
-            std::max(0.0, 100.0 * pair_ratios[pair_ratios.size() / 4]);
+        const auto median = [](std::vector<double> ratios) {
+            std::sort(ratios.begin(), ratios.end());
+            const std::size_t n = ratios.size();
+            return n % 2 == 1 ? ratios[n / 2]
+                              : 0.5 * (ratios[n / 2 - 1] + ratios[n / 2]);
+        };
+        m.obs_overhead_pct = 100.0 * median(pair_ratios);
+        // Percentile bootstrap of the median: resample the pairs with
+        // replacement under a fixed seed, so the interval is reproducible
+        // for a given set of timings.
+        std::mt19937_64 rng{0x0b5e7u};
+        std::uniform_int_distribution<std::size_t> pick{
+            0, pair_ratios.size() - 1};
+        constexpr std::size_t resamples = 2000;
+        std::vector<double> medians;
+        medians.reserve(resamples);
+        std::vector<double> resample(pair_ratios.size());
+        for (std::size_t r = 0; r < resamples; ++r) {
+            for (double& ratio : resample) {
+                ratio = pair_ratios[pick(rng)];
+            }
+            medians.push_back(median(resample));
+        }
+        std::sort(medians.begin(), medians.end());
+        m.obs_overhead_ci_lo_pct = 100.0 * medians[resamples * 25 / 1000];
+        m.obs_overhead_ci_hi_pct = 100.0 * medians[resamples * 975 / 1000];
     }
 
     // Timeout rate, by construction 0.5: half of a gated wave carries an
@@ -938,7 +965,11 @@ void write_micro_json() {
     std::fprintf(out, "  \"net_p99_us\": %.3f,\n", net.p99_ms * 1e3);
     std::fprintf(out, "  \"serve_p50_us\": %.3f,\n", serve.p50_ms * 1e3);
     std::fprintf(out, "  \"serve_p95_us\": %.3f,\n", serve.p95_ms * 1e3);
-    std::fprintf(out, "  \"serve_p99_us\": %.3f\n", serve.p99_ms * 1e3);
+    std::fprintf(out, "  \"serve_p99_us\": %.3f,\n", serve.p99_ms * 1e3);
+    std::fprintf(out, "  \"obs_overhead_ci_lo_pct\": %.2f,\n",
+                 serve.obs_overhead_ci_lo_pct);
+    std::fprintf(out, "  \"obs_overhead_ci_hi_pct\": %.2f\n",
+                 serve.obs_overhead_ci_hi_pct);
     std::fprintf(out, "}\n");
     std::fclose(out);
 
@@ -977,10 +1008,11 @@ void write_micro_json() {
                 "round trip p50 %.3f ms / p95 %.3f ms / p99 %.3f ms\n",
                 net.requests_per_sec, net.p50_ms, net.p95_ms, net.p99_ms);
     std::printf("in-process warm round trip p50 %.3f ms / p95 %.3f ms / "
-                "p99 %.3f ms; obs recording overhead %.2f%% on the "
-                "serving mix\n",
+                "p99 %.3f ms; obs recording overhead %.2f%% (95%% CI "
+                "%.2f .. %.2f) on the serving mix\n",
                 serve.p50_ms, serve.p95_ms, serve.p99_ms,
-                serve.obs_overhead_pct);
+                serve.obs_overhead_pct, serve.obs_overhead_ci_lo_pct,
+                serve.obs_overhead_ci_hi_pct);
     std::printf("sweep memory: eager %.1f B/ref vs streaming %.2f B/ref "
                 "(x%.0f smaller), throughput %.2fM vs %.2fM acc/s\n\n",
                 sweeps.eager.peak_bytes_per_ref,

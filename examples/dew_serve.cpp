@@ -77,6 +77,7 @@
 // coalesced neighbour, how many were degraded, retried, timed out or
 // failed.  Failed requests are tallied and reported, not fatal: one bad
 // line must not discard the rest of the replay's answers.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -881,9 +882,26 @@ int main(int argc, char** argv) {
             .count();
 
     // Over --connect the books are the server's lifetime totals, which is
-    // what a shared service's absorption numbers mean anyway.
-    const serve::service_stats stats =
-        sink.local ? service_storage->stats() : client_storage->stats();
+    // what a shared service's absorption numbers mean anyway: its
+    // get_metrics scrape, read as a backend's own serve.* series or, when
+    // the server is a router, as the exact fleet.serve.* totals.
+    serve::service_stats stats;
+    try {
+        if (sink.local) {
+            stats = service_storage->stats();
+        } else {
+            const std::vector<obs::metric> scrape = client_storage->metrics();
+            const bool routed = std::any_of(
+                scrape.begin(), scrape.end(), [](const obs::metric& m) {
+                    return m.name.starts_with("fleet.");
+                });
+            stats = serve::stats_from(scrape, routed ? "fleet." : "");
+        }
+    } catch (const std::exception& error) {
+        std::fprintf(stderr, "dew_serve: cannot read the books: %s\n",
+                     error.what());
+        return 1;
+    }
     std::printf("\nanswered %zu requests in %.3f s (%.0f req/s)\n",
                 submitted.size(), seconds,
                 static_cast<double>(submitted.size()) / seconds);

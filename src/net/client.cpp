@@ -366,12 +366,6 @@ std::vector<obs::request_event> client::events() {
     return decode_events(response.payload);
 }
 
-serve::service_stats client::stats() {
-    const frame response =
-        core_->roundtrip(message_type::stats, {}, message_type::stats_ok);
-    return decode_stats(response.payload);
-}
-
 std::string client::save_cache() {
     frame response = core_->roundtrip(message_type::cache_save, {},
                                       message_type::cache_contents);

@@ -107,8 +107,6 @@ public:
     [[nodiscard]] submission submit(const trace::trace_digest& digest,
                                     const serve::service_request& request);
 
-    [[nodiscard]] serve::service_stats stats();
-
     // The server's obs::registry snapshot (counters, gauges, stage-latency
     // percentiles), stable name order.
     [[nodiscard]] std::vector<obs::metric> metrics();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -338,41 +337,6 @@ std::size_t router::inflight(std::size_t index) const {
     return state_->at(index).inflight.load(std::memory_order_acquire);
 }
 
-serve::service_stats router::stats_of(std::size_t index) {
-    return state_->at(index).connection->stats();
-}
-
-serve::service_stats router::total_stats() {
-    serve::service_stats total{};
-    for (std::size_t index = 0; index < state_->backends.size(); ++index) {
-        if (!healthy(index)) {
-            continue;
-        }
-        const serve::service_stats stats = stats_of(index);
-        total.submitted += stats.submitted;
-        total.completed += stats.completed;
-        total.cache_hits += stats.cache_hits;
-        total.coalesced += stats.coalesced;
-        total.computations += stats.computations;
-        total.shard_jobs += stats.shard_jobs;
-        total.stream_builds += stats.stream_builds;
-        total.stream_reuses += stats.stream_reuses;
-        total.rejected += stats.rejected;
-        total.representative_served += stats.representative_served;
-        total.exact_fallbacks += stats.exact_fallbacks;
-        total.cache_evictions += stats.cache_evictions;
-        total.timeouts += stats.timeouts;
-        total.cancellations += stats.cancellations;
-        total.retries += stats.retries;
-        total.retry_successes += stats.retry_successes;
-        total.transient_faults += stats.transient_faults;
-        total.permanent_faults += stats.permanent_faults;
-        total.degraded_served += stats.degraded_served;
-        total.expired_flights += stats.expired_flights;
-    }
-    return total;
-}
-
 serve::cache_load_report router::handoff(std::size_t from, std::size_t to) {
     const std::string image = state_->at(from).connection->save_cache();
     state_->ctrs.handoffs.fetch_add(1, std::memory_order_relaxed);
@@ -381,9 +345,8 @@ serve::cache_load_report router::handoff(std::size_t from, std::size_t to) {
 }
 
 std::vector<obs::metric> router::metrics() {
-    // One merged fleet series per name, keyed for the stable sorted output
-    // the exporters rely on, plus every per-backend series re-tagged.
-    std::map<std::string, obs::metric> fleet;
+    // Every per-backend series re-tagged, plus a fleet.<name> copy of each
+    // that obs::merge folds into the exact fleet total.
     std::vector<obs::metric> out;
     for (std::size_t index = 0; index < state_->backends.size(); ++index) {
         backend& node = state_->at(index);
@@ -400,34 +363,14 @@ std::vector<obs::metric> router::metrics() {
         }
         const std::string prefix = "backend." + std::to_string(index) + ".";
         for (obs::metric& m : snap) {
-            const auto [slot, fresh] = fleet.try_emplace("fleet." + m.name, m);
-            if (fresh) {
-                slot->second.name = "fleet." + m.name;
-            } else {
-                obs::metric& total = slot->second;
-                // Exact merge, same semantics as the registry's duplicate-
-                // name rule: counters and gauges add, histograms merge
-                // bucket-wise and re-reduce.
-                total.value += m.value;
-                total.hist.merge(m.hist);
-                total.count = total.hist.total();
-                total.p50_ns = total.hist.p50();
-                total.p95_ns = total.hist.p95();
-                total.p99_ns = total.hist.p99();
-            }
+            obs::metric total = m;
+            total.name = "fleet." + m.name;
+            out.push_back(std::move(total));
             m.name = prefix + m.name;
             out.push_back(std::move(m));
         }
     }
-    for (auto& [name, m] : fleet) {
-        (void)name;
-        out.push_back(std::move(m));
-    }
-    std::sort(out.begin(), out.end(),
-              [](const obs::metric& a, const obs::metric& b) {
-                  return a.name < b.name;
-              });
-    return out;
+    return obs::merge(std::move(out));
 }
 
 std::vector<obs::request_event> router::events() {

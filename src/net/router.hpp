@@ -157,17 +157,14 @@ public:
     void mark_healthy(std::size_t backend);
     [[nodiscard]] std::size_t inflight(std::size_t backend) const;
 
-    // Per-backend and fleet-summed service counters.
-    [[nodiscard]] serve::service_stats stats_of(std::size_t backend);
-    [[nodiscard]] serve::service_stats total_stats();
-
     // Aggregated scrape: fans get_metrics out to every healthy backend and
     // merges the snapshots — each backend's series re-tagged
     // "backend.<i>.<name>", plus one "fleet.<name>" series per name that
-    // is the *exact* merge (counters and gauges add; latency histograms
-    // merge bucket-wise via histogram_snapshot::merge, with percentiles
-    // recomputed from the merged buckets — never averaged).  The router's
-    // own net.router.* series live in the process registry, not here.
+    // is the *exact* merge (obs::merge: counters and gauges add; latency
+    // histograms merge bucket-wise, with percentiles recomputed from the
+    // merged buckets — never averaged).  serve::stats_from reads a
+    // backend's or the fleet's service books out of it.  The router's own
+    // net.router.* series live in the process registry, not here.
     [[nodiscard]] std::vector<obs::metric> metrics();
 
     // Fans get_events out to every healthy backend and concatenates the

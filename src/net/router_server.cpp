@@ -1,6 +1,6 @@
 #include "net/router_server.hpp"
 
-#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -52,13 +52,9 @@ struct router_server::state {
             conn->send(message_type::cancel_ok, id, encode_flag(cancelled));
             return;
         }
-        case message_type::stats:
-            conn->send(message_type::stats_ok, id,
-                       encode_stats(route.total_stats()));
-            return;
         case message_type::get_metrics: {
             // The aggregated scrape: the router process's own registry
-            // (net.router.* series) plus the fleet fan-out, one sorted
+            // (net.router.* series) plus the fleet fan-out, one merged
             // snapshot.
             std::vector<obs::metric> merged =
                 obs::registry::instance().snapshot();
@@ -66,11 +62,8 @@ struct router_server::state {
             merged.insert(merged.end(),
                           std::make_move_iterator(fanned.begin()),
                           std::make_move_iterator(fanned.end()));
-            std::sort(merged.begin(), merged.end(),
-                      [](const obs::metric& a, const obs::metric& b) {
-                          return a.name < b.name;
-                      });
-            conn->send(message_type::metrics_ok, id, encode_metrics(merged));
+            conn->send(message_type::metrics_ok, id,
+                       encode_metrics(obs::merge(std::move(merged))));
             return;
         }
         case message_type::get_events:

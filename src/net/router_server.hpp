@@ -3,8 +3,8 @@
 // net::router is an in-process library: a client of N backends.  This
 // wraps it in the same wire surface net::server speaks, so a plain
 // net::client (or dew_serve --connect) can talk to the *fleet* exactly as
-// it talks to one backend — register, submit, cancel, stats, metrics,
-// events — while the router does the partitioning, failover and
+// it talks to one backend — register, submit, cancel, metrics, events —
+// while the router does the partitioning, failover and
 // backpressure spill behind the frame boundary.
 //
 // Request handling per type:
@@ -13,11 +13,11 @@
 //     routed submission by frame id).  A submit frame's trace context
 //     (obs_trace_hi/lo, obs_parent_span) is forwarded verbatim on the
 //     backend hop, so one trace id spans client → router → backend.
-//   * stats — the fleet-summed service_stats.
 //   * get_metrics — the aggregated scrape: the router process's own
 //     registry (net.router.* counters, histograms) merged with every
 //     backend's snapshot, per-backend series tagged backend.<i>.<name> and
-//     exact fleet totals tagged fleet.<name> (docs/OBSERVABILITY.md).
+//     exact fleet totals tagged fleet.<name> (docs/OBSERVABILITY.md) —
+//     where serve::stats_from finds the fleet's service books.
 //   * get_events — every backend's wide-event ring, concatenated.
 //   * pause/resume — broadcast to every healthy backend.
 //   * cache_save/cache_load — answered with an error frame: the fleet's

@@ -91,10 +91,6 @@ struct server::state {
             conn->send(message_type::cancel_ok, id, encode_flag(cancelled));
             return;
         }
-        case message_type::stats:
-            conn->send(message_type::stats_ok, id,
-                       encode_stats(service.stats()));
-            return;
         case message_type::get_metrics:
             conn->send(message_type::metrics_ok, id,
                        encode_metrics(obs::registry::instance().snapshot()));

@@ -146,8 +146,6 @@ const char* to_string(message_type type) noexcept {
     case message_type::result: return "result";
     case message_type::cancel: return "cancel";
     case message_type::cancel_ok: return "cancel_ok";
-    case message_type::stats: return "stats";
-    case message_type::stats_ok: return "stats_ok";
     case message_type::cache_save: return "cache_save";
     case message_type::cache_contents: return "cache_contents";
     case message_type::cache_load: return "cache_load";
@@ -199,12 +197,12 @@ frame_header parse_header(std::string_view bytes) {
                          std::to_string(version) + " at byte offset 4"};
     }
     const auto raw_type = static_cast<unsigned char>(bytes[8]);
-    if (raw_type > max_message_type) {
+    frame_header header;
+    header.type = static_cast<message_type>(raw_type);
+    if (std::string_view{to_string(header.type)} == "unknown") {
         throw wire_error{"unknown message type " + std::to_string(raw_type) +
                          " at byte offset 8"};
     }
-    frame_header header;
-    header.type = static_cast<message_type>(raw_type);
     for (std::size_t i = 17; i-- > 9;) {
         header.id = (header.id << 8) | static_cast<unsigned char>(bytes[i]);
     }
@@ -661,53 +659,6 @@ serve::service_result decode_result(std::string_view payload) {
     }
     in.finish();
     return result;
-}
-
-// --- Stats ------------------------------------------------------------------
-
-std::string encode_stats(const serve::service_stats& stats) {
-    std::string out;
-    for (const std::uint64_t value :
-         {stats.submitted, stats.completed, stats.cache_hits, stats.coalesced,
-          stats.computations, stats.shard_jobs, stats.stream_builds,
-          stats.stream_reuses, stats.rejected, stats.representative_served,
-          stats.exact_fallbacks, stats.cache_evictions, stats.timeouts,
-          stats.cancellations, stats.retries, stats.retry_successes,
-          stats.transient_faults, stats.permanent_faults,
-          stats.degraded_served, stats.expired_flights, stats.queue_depth,
-          stats.inflight_flights}) {
-        put_u64(out, value);
-    }
-    return out;
-}
-
-serve::service_stats decode_stats(std::string_view payload) {
-    cursor in{payload, "stats_ok"};
-    serve::service_stats stats;
-    stats.submitted = in.get_u64("submitted");
-    stats.completed = in.get_u64("completed");
-    stats.cache_hits = in.get_u64("cache_hits");
-    stats.coalesced = in.get_u64("coalesced");
-    stats.computations = in.get_u64("computations");
-    stats.shard_jobs = in.get_u64("shard_jobs");
-    stats.stream_builds = in.get_u64("stream_builds");
-    stats.stream_reuses = in.get_u64("stream_reuses");
-    stats.rejected = in.get_u64("rejected");
-    stats.representative_served = in.get_u64("representative_served");
-    stats.exact_fallbacks = in.get_u64("exact_fallbacks");
-    stats.cache_evictions = in.get_u64("cache_evictions");
-    stats.timeouts = in.get_u64("timeouts");
-    stats.cancellations = in.get_u64("cancellations");
-    stats.retries = in.get_u64("retries");
-    stats.retry_successes = in.get_u64("retry_successes");
-    stats.transient_faults = in.get_u64("transient_faults");
-    stats.permanent_faults = in.get_u64("permanent_faults");
-    stats.degraded_served = in.get_u64("degraded_served");
-    stats.expired_flights = in.get_u64("expired_flights");
-    stats.queue_depth = in.get_u64("queue_depth");
-    stats.inflight_flights = in.get_u64("inflight_flights");
-    in.finish();
-    return stats;
 }
 
 // --- Metrics ----------------------------------------------------------------

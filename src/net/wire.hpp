@@ -82,8 +82,8 @@ enum class message_type : std::uint8_t {
     result = 7,          // dewlint: wire result
     cancel = 8,          // dewlint: wire cancel_target
     cancel_ok = 9,       // dewlint: wire flag
-    stats = 10,          // dewlint: wire none
-    stats_ok = 11,       // dewlint: wire stats
+    // 10 and 11 are retired (a counters request/reply pair; the service's
+    // counters travel in metrics_ok): never reused, rejected as unknown.
     cache_save = 12,     // dewlint: wire none
     cache_contents = 13, // dewlint: wire raw
     cache_load = 14,     // dewlint: wire cache_load
@@ -104,11 +104,7 @@ enum class message_type : std::uint8_t {
     events_ok = 23,      // dewlint: wire events
 };
 
-// The highest assigned entry — parse_header's unknown-type bound.  Keep in
-// step when the enum grows.
-inline constexpr std::uint8_t max_message_type =
-    static_cast<std::uint8_t>(message_type::events_ok);
-
+// "unknown" for every byte that names no entry (parse_header's test).
 [[nodiscard]] const char* to_string(message_type type) noexcept;
 
 struct frame_header {
@@ -219,12 +215,8 @@ std::string encode_submit(const submit_message& message);
 std::string encode_result(const serve::service_result& result);
 [[nodiscard]] serve::service_result decode_result(std::string_view payload);
 
-// stats_ok: the 20 service_stats counters plus the queue_depth /
-// inflight_flights gauges, in declaration order.
-std::string encode_stats(const serve::service_stats& stats);
-[[nodiscard]] serve::service_stats decode_stats(std::string_view payload);
-
-// metrics_ok: the obs::registry snapshot — per entry the name
+// metrics_ok: the obs::registry snapshot (serve::stats_from reads the
+// service's books out of it) — per entry the name
 // (length-prefixed), kind, counter/gauge value, latency reduction
 // (count + p50/p95/p99 ns) and the 65 raw histogram buckets.  The buckets
 // make cross-backend aggregation exact: the router re-merges scraped

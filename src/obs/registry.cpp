@@ -1,7 +1,6 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace dew::obs {
 
@@ -32,6 +31,32 @@ void registry::remove_provider(std::uint64_t id) {
                   [id](const auto& entry) { return entry.first == id; });
 }
 
+std::vector<metric> merge(std::vector<metric> metrics) {
+    std::stable_sort(metrics.begin(), metrics.end(),
+                     [](const metric& a, const metric& b) {
+                         return a.name < b.name;
+                     });
+    std::vector<metric> out;
+    out.reserve(metrics.size());
+    for (metric& m : metrics) {
+        if (!out.empty() && out.back().name == m.name) {
+            out.back().value += m.value;
+            out.back().hist.merge(m.hist);
+        } else {
+            out.push_back(std::move(m));
+        }
+    }
+    for (metric& m : out) {
+        if (m.kind == metric_kind::latency) {
+            m.count = m.hist.total();
+            m.p50_ns = m.hist.p50();
+            m.p95_ns = m.hist.p95();
+            m.p99_ns = m.hist.p99();
+        }
+    }
+    return out;
+}
+
 std::vector<metric> registry::snapshot() const {
     std::vector<metric_sample> samples;
     {
@@ -41,36 +66,17 @@ std::vector<metric> registry::snapshot() const {
             fn(samples);
         }
     }
-    // Merge duplicates by name (std::map gives the sorted, stable order
-    // for free): counters and gauges add, latency histograms merge
-    // bucket-wise before the percentile reduction.
-    std::map<std::string, metric_sample> merged;
-    for (metric_sample& sample : samples) {
-        const auto [it, inserted] =
-            merged.try_emplace(sample.name, std::move(sample));
-        if (!inserted) {
-            it->second.value += sample.value;
-            it->second.hist.merge(sample.hist);
-        }
-    }
     std::vector<metric> out;
-    out.reserve(merged.size());
-    for (auto& [name, sample] : merged) {
+    out.reserve(samples.size());
+    for (metric_sample& sample : samples) {
         metric m;
-        m.name = name;
+        m.name = std::move(sample.name);
         m.kind = sample.kind;
-        if (sample.kind == metric_kind::latency) {
-            m.count = sample.hist.total();
-            m.p50_ns = sample.hist.p50();
-            m.p95_ns = sample.hist.p95();
-            m.p99_ns = sample.hist.p99();
-            m.hist = sample.hist;
-        } else {
-            m.value = sample.value;
-        }
+        m.value = sample.value;
+        m.hist = sample.hist;
         out.push_back(std::move(m));
     }
-    return out;
+    return merge(std::move(out));
 }
 
 } // namespace dew::obs

@@ -3,17 +3,18 @@
 // Subsystems that own counters (the service's relaxed atomics, the result
 // cache's shard stats, the router's per-backend tallies) register a
 // *provider*: a callback that pushes the current value of each metric it
-// owns as a metric_sample.  snapshot() runs every provider, merges
-// duplicate names exactly (counters and gauges add; latency histograms
-// merge bucket-wise — so two services in one process, or a scrape spanning
-// a restart, still read as one coherent surface), computes the p50/p95/p99
-// of every latency metric, and returns the lot sorted by name — a *stable
-// ordering*, byte-for-byte reproducible for a given set of values, which
-// the text/JSON exporters (obs/export.hpp) and the get_metrics wire codec
-// rely on.
+// owns as a metric_sample.  snapshot() runs every provider and hands the
+// samples to merge(): duplicate names merge exactly (counters and gauges
+// add; latency histograms merge bucket-wise — so two services in one
+// process, or a scrape spanning a restart, still read as one coherent
+// surface), the p50/p95/p99 of every latency metric are computed, and the
+// lot comes back sorted by name — a *stable ordering*, byte-for-byte
+// reproducible for a given set of values, which the text/JSON exporters
+// (obs/export.hpp) and the get_metrics wire codec rely on.  The router's
+// fleet totals and its front's scrape use the same merge().
 //
 // Metric kinds:
-//   counter  — monotone count (serve.submitted, serve.cache_hits, ...)
+//   counter  — monotone count (serve.submitted, serve.cache.hits, ...)
 //   gauge    — instantaneous level (serve.queue_depth, serve.inflight_flights)
 //   latency  — an obs::histogram of nanoseconds (serve.shard_ns, ...)
 //
@@ -70,6 +71,13 @@ struct metric {
     friend bool operator==(const metric&, const metric&) = default;
 };
 
+// The one name-keyed exact merge: entries sharing a name collapse into the
+// first one's kind — counter and gauge values add, latency histograms add
+// bucket-wise and their count/p50/p95/p99 are recomputed from the merged
+// buckets (percentiles are never averaged) — and the result is sorted by
+// name.
+[[nodiscard]] std::vector<metric> merge(std::vector<metric> metrics);
+
 class registry {
 public:
     registry() = default;
@@ -90,7 +98,7 @@ public:
     std::uint64_t add_provider(provider fn);
     void remove_provider(std::uint64_t id);
 
-    // Merged + sorted current values (see header comment).
+    // Every provider's current values through merge() (header comment).
     [[nodiscard]] std::vector<metric> snapshot() const;
 
 private:

@@ -65,13 +65,14 @@ service_result to_result(const cached_value& value) {
     return out;
 }
 
-// Every stat the service counts, in one shared block: submission handles
-// (whose cancel() must keep counting after the service is destroyed) and
-// the service itself update the same atomics through a shared_ptr.
+// Every stat the service counts itself, in one shared block: submission
+// handles (whose cancel() must keep counting after the service is
+// destroyed) and the service itself update the same atomics through a
+// shared_ptr.  Two books live elsewhere and are not duplicated here: cache
+// hits are the result cache's own hit count, and completions are the
+// wide-event ring's push count (every settle pushes exactly one event).
 struct counters {
     std::atomic<std::uint64_t> submitted{0};
-    std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> cache_hits{0};
     std::atomic<std::uint64_t> coalesced{0};
     std::atomic<std::uint64_t> computations{0};
     std::atomic<std::uint64_t> shard_jobs{0};
@@ -99,6 +100,44 @@ struct counters {
     obs::histogram stream_build_ns;
     obs::histogram shard_ns;
     obs::histogram settle_ns;
+};
+
+// The one binding of each service_stats field to its registry series and
+// kind: what sample_metrics exports and what stats_from decodes.
+struct stats_series {
+    const char* name;
+    obs::metric_kind kind;
+    std::uint64_t service_stats::*field;
+};
+
+constexpr obs::metric_kind counter = obs::metric_kind::counter;
+constexpr obs::metric_kind gauge = obs::metric_kind::gauge;
+
+// dewlint: metric-table
+constexpr stats_series stats_table[] = {
+    {"serve.submitted", counter, &service_stats::submitted},
+    {"serve.completed", counter, &service_stats::completed},
+    {"serve.cache.hits", counter, &service_stats::cache_hits},
+    {"serve.coalesced", counter, &service_stats::coalesced},
+    {"serve.computations", counter, &service_stats::computations},
+    {"serve.shard_jobs", counter, &service_stats::shard_jobs},
+    {"serve.stream_builds", counter, &service_stats::stream_builds},
+    {"serve.stream_reuses", counter, &service_stats::stream_reuses},
+    {"serve.rejected", counter, &service_stats::rejected},
+    {"serve.representative_served", counter,
+     &service_stats::representative_served},
+    {"serve.exact_fallbacks", counter, &service_stats::exact_fallbacks},
+    {"serve.cache.evictions", counter, &service_stats::cache_evictions},
+    {"serve.timeouts", counter, &service_stats::timeouts},
+    {"serve.cancellations", counter, &service_stats::cancellations},
+    {"serve.retries", counter, &service_stats::retries},
+    {"serve.retry_successes", counter, &service_stats::retry_successes},
+    {"serve.transient_faults", counter, &service_stats::transient_faults},
+    {"serve.permanent_faults", counter, &service_stats::permanent_faults},
+    {"serve.degraded_served", counter, &service_stats::degraded_served},
+    {"serve.expired_flights", counter, &service_stats::expired_flights},
+    {"serve.queue_depth", gauge, &service_stats::queue_depth},
+    {"serve.inflight_flights", gauge, &service_stats::inflight_flights},
 };
 
 // One caller of one flight.  `deadline` is absolute (no_deadline = none);
@@ -270,7 +309,6 @@ struct detail::flight {
             taken = take(w);
             --live;
             ctrs->cancellations.fetch_add(1, std::memory_order_relaxed);
-            ctrs->completed.fetch_add(1, std::memory_order_relaxed);
             if (live == 0) {
                 abandoned.store(true, std::memory_order_release);
             }
@@ -394,70 +432,78 @@ struct service::state {
                   ? static_cast<std::uint64_t>(opts.slo_window.count())
                   : 1)} {}
 
-    // The obs::registry provider: every counter, gauge and stage
-    // histogram under one "serve." namespace (docs/OBSERVABILITY.md).
-    // Runs with the registry mutex held — takes the gauge locks
-    // sequentially, never nested, and never calls back into obs.
-    void sample_metrics(std::vector<obs::metric_sample>& out) const {
-        const counters& c = *ctrs;
-        const auto counter = [&out](const char* name,
-                                    const std::atomic<std::uint64_t>& v) {
-            out.push_back({name, obs::metric_kind::counter,
-                           v.load(std::memory_order_relaxed), {}});
+    // The service's books, read once: what stats() returns and what the
+    // registry provider exports through stats_table.  Takes the gauge
+    // locks sequentially, never nested.
+    [[nodiscard]] service_stats read() const {
+        const auto load = [](const std::atomic<std::uint64_t>& v) {
+            return v.load(std::memory_order_relaxed);
         };
-        counter("serve.submitted", c.submitted);
-        counter("serve.completed", c.completed);
-        counter("serve.cache_hits", c.cache_hits);
-        counter("serve.coalesced", c.coalesced);
-        counter("serve.computations", c.computations);
-        counter("serve.shard_jobs", c.shard_jobs);
-        counter("serve.stream_builds", c.stream_builds);
-        counter("serve.stream_reuses", c.stream_reuses);
-        counter("serve.rejected", c.rejected);
-        counter("serve.representative_served", c.representative_served);
-        counter("serve.exact_fallbacks", c.exact_fallbacks);
-        counter("serve.timeouts", c.timeouts);
-        counter("serve.cancellations", c.cancellations);
-        counter("serve.retries", c.retries);
-        counter("serve.retry_successes", c.retry_successes);
-        counter("serve.transient_faults", c.transient_faults);
-        counter("serve.permanent_faults", c.permanent_faults);
-        counter("serve.degraded_served", c.degraded_served);
-        counter("serve.expired_flights", c.expired_flights);
+        const counters& c = *ctrs;
+        const cache_stats cached = cache.stats();
+        service_stats out;
+        out.submitted = load(c.submitted);
+        out.completed = events->recorded();
+        out.cache_hits = cached.hits;
+        out.coalesced = load(c.coalesced);
+        out.computations = load(c.computations);
+        out.shard_jobs = load(c.shard_jobs);
+        out.stream_builds = load(c.stream_builds);
+        out.stream_reuses = load(c.stream_reuses);
+        out.rejected = load(c.rejected);
+        out.representative_served = load(c.representative_served);
+        out.exact_fallbacks = load(c.exact_fallbacks);
+        out.cache_evictions = cached.evictions;
+        out.timeouts = load(c.timeouts);
+        out.cancellations = load(c.cancellations);
+        out.retries = load(c.retries);
+        out.retry_successes = load(c.retry_successes);
+        out.transient_faults = load(c.transient_faults);
+        out.permanent_faults = load(c.permanent_faults);
+        out.degraded_served = load(c.degraded_served);
+        out.expired_flights = load(c.expired_flights);
+        {
+            const std::lock_guard<std::mutex> lock{flights_mutex};
+            out.inflight_flights = flights.size();
+        }
+        {
+            const std::lock_guard<std::mutex> lock{queue_mutex};
+            out.queue_depth = queue.size();
+        }
+        return out;
+    }
+
+    // The obs::registry provider: the books above, the rest of the cache,
+    // pool, event-ring and SLO levels, and every stage histogram, all under
+    // one "serve." namespace (docs/OBSERVABILITY.md).  Runs with the
+    // registry mutex held — takes the gauge locks sequentially, never
+    // nested, and never calls back into obs.
+    void sample_metrics(std::vector<obs::metric_sample>& out) const {
+        const service_stats books = read();
+        for (const stats_series& series : stats_table) {
+            out.push_back({series.name, series.kind, books.*series.field, {}});
+        }
         const cache_stats cstats = cache.stats();
         const auto plain = [&out](const char* name, obs::metric_kind kind,
                                   std::uint64_t value) {
             out.push_back({name, kind, value, {}});
         };
-        plain("serve.cache.hits", obs::metric_kind::counter, cstats.hits);
         plain("serve.cache.misses", obs::metric_kind::counter,
               cstats.misses);
         plain("serve.cache.insertions", obs::metric_kind::counter,
               cstats.insertions);
-        plain("serve.cache.evictions", obs::metric_kind::counter,
-              cstats.evictions);
         plain("serve.cache.entries", obs::metric_kind::gauge,
               cstats.entries);
-        std::uint64_t depth = 0;
         std::uint64_t occupancy = 0;
         {
             const std::lock_guard<std::mutex> lock{queue_mutex};
-            depth = queue.size();
             occupancy = active_jobs;
         }
-        plain("serve.queue_depth", obs::metric_kind::gauge, depth);
         plain("serve.pool_occupancy", obs::metric_kind::gauge, occupancy);
-        std::uint64_t inflight = 0;
-        {
-            const std::lock_guard<std::mutex> lock{flights_mutex};
-            inflight = flights.size();
-        }
-        plain("serve.inflight_flights", obs::metric_kind::gauge, inflight);
         plain("serve.node_id", obs::metric_kind::gauge, options.node_id);
-        // The wide-event ring's lifetime totals: recorded - dropped is the
-        // retained window a get_events scrape can still see.
-        plain("serve.events.recorded", obs::metric_kind::counter,
-              events->recorded());
+        // The wide-event ring's losses and bound: serve.completed (the
+        // push count) - dropped is the retained window a get_events
+        // scrape can still see.
         plain("serve.events.dropped", obs::metric_kind::counter,
               events->dropped());
         plain("serve.events.capacity", obs::metric_kind::gauge,
@@ -479,6 +525,7 @@ struct service::state {
               slo_view.violations);
         plain("serve.slo.window_p99_ns", obs::metric_kind::gauge,
               slo_view.hist.p99());
+        const counters& c = *ctrs;
         const auto latency = [&out](const char* name,
                                     const obs::histogram& h) {
             out.push_back({name, obs::metric_kind::latency, 0,
@@ -506,8 +553,6 @@ struct service::state {
     answer_from_cache(const std::shared_ptr<const cached_value>& cached,
                       const service_request& normal, const request_key& key,
                       std::uint64_t admitted_ns) {
-        ctrs->cache_hits.fetch_add(1, std::memory_order_relaxed);
-        ctrs->completed.fetch_add(1, std::memory_order_relaxed);
         obs::request_event e;
         e.trace_hi = normal.obs_trace_hi;
         e.trace_lo = normal.obs_trace_lo;
@@ -556,7 +601,6 @@ struct service::state {
                 expired.push_back(take(w));
                 --f.live;
                 ctrs->timeouts.fetch_add(1, std::memory_order_relaxed);
-                ctrs->completed.fetch_add(1, std::memory_order_relaxed);
                 expired_events.push_back(
                     f.event(w, obs::event_disposition::timeout));
             }
@@ -904,7 +948,9 @@ struct service::state {
         // the instant one does, its continuation can send the response and
         // the requester close its span, and telemetry trickling in after
         // that would land outside the client's span interval (the
-        // containment obs.stitch_test and obs.fleet_test prove).
+        // containment obs.stitch_test and obs.fleet_test prove).  It also
+        // means a caller returning from get() sees itself in `completed`,
+        // the ring's push count.
         auto fulfil = f->take_live([&](std::size_t index) {
             return error         ? obs::event_disposition::failed
                    : f->degraded ? obs::event_disposition::degraded
@@ -923,9 +969,6 @@ struct service::state {
                 f->obs_correlation, f->obs_fingerprint,
                 f->request.obs_trace_hi, f->request.obs_trace_lo);
         }
-        // Counted before the promises fire: a caller returning from get()
-        // must observe itself in `completed`.
-        ctrs->completed.fetch_add(fulfil.size(), std::memory_order_relaxed);
         for (auto& [w, e] : fulfil) {
             service_result result;
             if (!error) {
@@ -1006,9 +1049,8 @@ struct service::state {
         auto fulfil = f->take_live([disposition](std::size_t) {
             return disposition;
         });
-        // Unwound submissions are still completed submissions: the
-        // submitted/completed balance must survive a rejection.
-        ctrs->completed.fetch_add(fulfil.size(), std::memory_order_relaxed);
+        // Unwound submissions are still completed submissions (one event
+        // each): the submitted/completed balance survives a rejection.
         for (auto& [w, e] : fulfil) {
             settle_event(*events, *slo, e);
             settle(w, error);
@@ -1334,39 +1376,28 @@ void service::resume() {
     state_->queue_work_cv.notify_all();
 }
 
-service_stats service::stats() const {
-    const counters& c = *state_->ctrs;
+service_stats service::stats() const { return state_->read(); }
+
+service_stats stats_from(const std::vector<obs::metric>& snapshot,
+                         std::string_view prefix) {
     service_stats out;
-    out.submitted = c.submitted.load(std::memory_order_relaxed);
-    out.completed = c.completed.load(std::memory_order_relaxed);
-    out.cache_hits = c.cache_hits.load(std::memory_order_relaxed);
-    out.coalesced = c.coalesced.load(std::memory_order_relaxed);
-    out.computations = c.computations.load(std::memory_order_relaxed);
-    out.shard_jobs = c.shard_jobs.load(std::memory_order_relaxed);
-    out.stream_builds = c.stream_builds.load(std::memory_order_relaxed);
-    out.stream_reuses = c.stream_reuses.load(std::memory_order_relaxed);
-    out.rejected = c.rejected.load(std::memory_order_relaxed);
-    out.representative_served =
-        c.representative_served.load(std::memory_order_relaxed);
-    out.exact_fallbacks = c.exact_fallbacks.load(std::memory_order_relaxed);
-    out.cache_evictions = state_->cache.stats().evictions;
-    out.timeouts = c.timeouts.load(std::memory_order_relaxed);
-    out.cancellations = c.cancellations.load(std::memory_order_relaxed);
-    out.retries = c.retries.load(std::memory_order_relaxed);
-    out.retry_successes = c.retry_successes.load(std::memory_order_relaxed);
-    out.transient_faults =
-        c.transient_faults.load(std::memory_order_relaxed);
-    out.permanent_faults =
-        c.permanent_faults.load(std::memory_order_relaxed);
-    out.degraded_served = c.degraded_served.load(std::memory_order_relaxed);
-    out.expired_flights = c.expired_flights.load(std::memory_order_relaxed);
-    {
-        const std::lock_guard<std::mutex> lock{state_->flights_mutex};
-        out.inflight_flights = state_->flights.size();
+    std::string missing;
+    for (const stats_series& series : stats_table) {
+        const std::string name = std::string{prefix} + series.name;
+        const auto it = std::find_if(
+            snapshot.begin(), snapshot.end(), [&](const obs::metric& m) {
+                return m.kind == series.kind && m.name == name;
+            });
+        if (it == snapshot.end()) {
+            missing += (missing.empty() ? "" : ", ") + name;
+        } else {
+            out.*series.field = it->value;
+        }
     }
-    {
-        const std::lock_guard<std::mutex> lock{state_->queue_mutex};
-        out.queue_depth = state_->queue.size();
+    if (!missing.empty()) {
+        throw std::invalid_argument{
+            "serve::stats_from: the snapshot has no " + missing +
+            " series (not a service's metrics, or the wrong prefix)"};
     }
     return out;
 }

@@ -70,6 +70,10 @@
 //
 // Threading: every public method is safe to call from any thread.  Results
 // are immutable and shared; stats() is a relaxed snapshot.
+//
+// Accounting: stats() reads the books once, and the service exports the
+// same read as its serve.* registry series; stats_from() decodes them back
+// out of a snapshot, which is how a remote caller reads them (get_metrics).
 #ifndef DEW_SERVE_SERVICE_HPP
 #define DEW_SERVE_SERVICE_HPP
 
@@ -84,8 +88,10 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/event.hpp"
+#include "obs/registry.hpp"
 #include "serve/cache.hpp"
 #include "serve/key.hpp"
 #include "trace/record.hpp"
@@ -198,9 +204,13 @@ struct service_result {
     double max_abs_error_pp{0.0}; // calibrated representative answers only
 };
 
+// A typed view of the service's serve.* registry series: each field is
+// exported as exactly one series (docs/OBSERVABILITY.md §3) and read from
+// one source, so service::stats(), the process registry and a remote
+// get_metrics scrape (through stats_from) agree by construction.
 struct service_stats {
     std::uint64_t submitted{0};
-    std::uint64_t completed{0};
+    std::uint64_t completed{0};    // settled submits, one event each
     std::uint64_t cache_hits{0};   // submit-time cache answers
     std::uint64_t coalesced{0};    // submits folded into an in-flight flight
     std::uint64_t computations{0}; // flights actually simulated
@@ -220,10 +230,9 @@ struct service_stats {
     std::uint64_t degraded_served{0};  // exact requests answered degraded
     std::uint64_t expired_flights{0};  // flights abandoned (no live waiters)
 
-    // Gauges — instantaneous levels at the stats() call, not monotone
-    // counts: jobs sitting in the bounded queue and flights in the air
-    // (registered, not yet finished/failed).  Also exported, alongside
-    // the stage latency histograms, through obs::registry::instance().
+    // Gauges — instantaneous levels at the read, not monotone counts: jobs
+    // sitting in the bounded queue and flights in the air (registered, not
+    // yet finished/failed).
     std::uint64_t queue_depth{0};
     std::uint64_t inflight_flights{0};
 
@@ -258,6 +267,17 @@ struct service_stats {
                                   static_cast<double>(retries);
     }
 };
+
+// The books out of a registry snapshot — the process registry, or a
+// get_metrics scrape — through the same field-to-series binding the
+// service exports with, every name read under `prefix`: "" for one
+// process, "fleet." for a router's fleet totals, "backend.<i>." for one
+// backend through the router.  A scrape is per process: services sharing
+// one sum into one set of books.  A series the snapshot lacks is never
+// read as 0: throws std::invalid_argument naming every missing one.
+[[nodiscard]] service_stats
+stats_from(const std::vector<obs::metric>& snapshot,
+           std::string_view prefix = {});
 
 namespace detail {
 struct flight; // one coalesced computation (serve/service.cpp)

@@ -214,7 +214,7 @@ TEST(Loopback, DeadlineTimeoutAndCancelCrossTheWire) {
     EXPECT_THROW((void)timed.get(), serve::service_timeout);
     EXPECT_THROW((void)withdrawn.get(), serve::service_cancelled);
 
-    const serve::service_stats stats = cli.stats();
+    const serve::service_stats stats = srv.local_service().stats();
     EXPECT_GE(stats.timeouts, 1u);
     EXPECT_GE(stats.cancellations, 1u);
 }

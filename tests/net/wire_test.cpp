@@ -5,14 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dew/result_io.hpp"
 
 #include "dew/sweep.hpp"
+#include "net/golden_frames.hpp"
 #include "net/wire.hpp"
 #include "phase/representative_sweep.hpp"
 #include "serve/service.hpp"
@@ -57,7 +61,9 @@ core::sweep_result sample_sweep() {
     request.max_set_exp = 3;
     request.block_sizes = {16, 32};
     request.associativities = {2};
-    return core::run_sweep(sample_trace(), request);
+    core::sweep_result result = core::run_sweep(sample_trace(), request);
+    result.seconds = 0.5; // wall clock, pinned so the frame bytes are golden
+    return result;
 }
 
 serve::service_result sample_result(bool with_sweep, bool with_estimate) {
@@ -89,33 +95,6 @@ serve::service_result sample_result(bool with_sweep, bool with_estimate) {
         result.estimated = true;
     }
     return result;
-}
-
-serve::service_stats sample_stats() {
-    serve::service_stats stats;
-    stats.submitted = 1;
-    stats.completed = 2;
-    stats.cache_hits = 3;
-    stats.coalesced = 4;
-    stats.computations = 5;
-    stats.shard_jobs = 6;
-    stats.stream_builds = 7;
-    stats.stream_reuses = 8;
-    stats.rejected = 9;
-    stats.representative_served = 10;
-    stats.exact_fallbacks = 11;
-    stats.cache_evictions = 12;
-    stats.timeouts = 13;
-    stats.cancellations = 14;
-    stats.retries = 15;
-    stats.retry_successes = 16;
-    stats.transient_faults = 17;
-    stats.permanent_faults = 18;
-    stats.degraded_served = 19;
-    stats.expired_flights = 20;
-    stats.queue_depth = 21;
-    stats.inflight_flights = 22;
-    return stats;
 }
 
 std::vector<obs::metric> sample_metrics() {
@@ -160,6 +139,75 @@ std::vector<obs::request_event> sample_events() {
     obs::request_event rejected; // all-defaults except the terminal state
     rejected.disposition = obs::event_disposition::rejected;
     return {computed, rejected};
+}
+
+serve::cache_load_report sample_report() {
+    serve::cache_load_report report;
+    report.loaded = 7;
+    report.skipped = 2;
+    report.salvaged = true;
+    report.salvaged_at = 12345;
+    report.checksum_ok = false;
+    return report;
+}
+
+// One frame of every live message type, built from the samples above
+// under frame id 100 + type: the inputs of the golden frames
+// (net/golden_frames.hpp).
+std::vector<std::pair<message_type, std::string>> sample_frames() {
+    const auto frame = [](message_type type, std::string_view payload) {
+        const std::uint64_t id = 100 + static_cast<std::uint64_t>(type);
+        return std::pair{type, encode_frame(type, id, payload)};
+    };
+    const trace::trace_digest digest = sample_digest();
+    return {
+        frame(message_type::ping, {}),
+        frame(message_type::pong, {}),
+        frame(message_type::register_trace, encode_records(sample_trace())),
+        frame(message_type::register_ok, encode_digest(digest)),
+        frame(message_type::has_trace, encode_digest(digest)),
+        frame(message_type::has_ok, encode_flag(true)),
+        frame(message_type::submit, encode_submit({digest, sample_request()})),
+        frame(message_type::result, encode_result(sample_result(true, true))),
+        frame(message_type::cancel, encode_cancel_target(0xDEADBEEFull)),
+        frame(message_type::cancel_ok, encode_flag(false)),
+        frame(message_type::cache_save, {}),
+        frame(message_type::cache_contents, "dscf-image-bytes"),
+        frame(message_type::cache_load,
+              encode_cache_load(serve::load_mode::salvage,
+                                "dscf-image-bytes")),
+        frame(message_type::cache_loaded, encode_load_report(sample_report())),
+        frame(message_type::pause, {}),
+        frame(message_type::resume, {}),
+        frame(message_type::ok, {}),
+        frame(message_type::error,
+              encode_error({fault_code::timeout, "deadline passed"})),
+        frame(message_type::get_metrics, {}),
+        frame(message_type::metrics_ok, encode_metrics(sample_metrics())),
+        frame(message_type::get_events, {}),
+        frame(message_type::events_ok, encode_events(sample_events())),
+    };
+}
+
+// The sample requests whose fingerprints are golden: the wire sample and
+// its exact-tier twin.
+std::vector<std::pair<std::string, serve::service_request>>
+sample_requests() {
+    serve::service_request exact = sample_request();
+    exact.mode = serve::service_mode::exact;
+    return {{"sample_request", sample_request()}, {"exact_request", exact}};
+}
+
+std::string to_hex(std::string_view bytes) {
+    static constexpr char digits[] = "0123456789abcdef";
+    std::string out;
+    out.reserve(2 * bytes.size());
+    for (const char c : bytes) {
+        const auto byte = static_cast<unsigned char>(c);
+        out.push_back(digits[byte >> 4]);
+        out.push_back(digits[byte & 0xF]);
+    }
+    return out;
 }
 
 std::string sweep_bytes(const core::sweep_result& result) {
@@ -275,33 +323,6 @@ TEST(Wire, ResultRoundTripsBitExactly) {
     }
 }
 
-TEST(Wire, StatsRoundTripAllTwentyCounters) {
-    const serve::service_stats stats = sample_stats();
-    const serve::service_stats back = decode_stats(encode_stats(stats));
-    EXPECT_EQ(back.submitted, stats.submitted);
-    EXPECT_EQ(back.completed, stats.completed);
-    EXPECT_EQ(back.cache_hits, stats.cache_hits);
-    EXPECT_EQ(back.coalesced, stats.coalesced);
-    EXPECT_EQ(back.computations, stats.computations);
-    EXPECT_EQ(back.shard_jobs, stats.shard_jobs);
-    EXPECT_EQ(back.stream_builds, stats.stream_builds);
-    EXPECT_EQ(back.stream_reuses, stats.stream_reuses);
-    EXPECT_EQ(back.rejected, stats.rejected);
-    EXPECT_EQ(back.representative_served, stats.representative_served);
-    EXPECT_EQ(back.exact_fallbacks, stats.exact_fallbacks);
-    EXPECT_EQ(back.cache_evictions, stats.cache_evictions);
-    EXPECT_EQ(back.timeouts, stats.timeouts);
-    EXPECT_EQ(back.cancellations, stats.cancellations);
-    EXPECT_EQ(back.retries, stats.retries);
-    EXPECT_EQ(back.retry_successes, stats.retry_successes);
-    EXPECT_EQ(back.transient_faults, stats.transient_faults);
-    EXPECT_EQ(back.permanent_faults, stats.permanent_faults);
-    EXPECT_EQ(back.degraded_served, stats.degraded_served);
-    EXPECT_EQ(back.expired_flights, stats.expired_flights);
-    EXPECT_EQ(back.queue_depth, stats.queue_depth);
-    EXPECT_EQ(back.inflight_flights, stats.inflight_flights);
-}
-
 TEST(Wire, MetricsRoundTripEveryKindAndOrder) {
     const std::vector<obs::metric> metrics = sample_metrics();
     const std::vector<obs::metric> back =
@@ -347,12 +368,7 @@ TEST(Wire, CacheLoadAndReportRoundTrip) {
     EXPECT_EQ(message.mode, serve::load_mode::salvage);
     EXPECT_EQ(message.cache_file, "dscf-image-bytes");
 
-    serve::cache_load_report report;
-    report.loaded = 7;
-    report.skipped = 2;
-    report.salvaged = true;
-    report.salvaged_at = 12345;
-    report.checksum_ok = false;
+    const serve::cache_load_report report = sample_report();
     const serve::cache_load_report back =
         decode_load_report(encode_load_report(report));
     EXPECT_EQ(back.loaded, report.loaded);
@@ -360,6 +376,44 @@ TEST(Wire, CacheLoadAndReportRoundTrip) {
     EXPECT_EQ(back.salvaged, report.salvaged);
     EXPECT_EQ(back.salvaged_at, report.salvaged_at);
     EXPECT_EQ(back.checksum_ok, report.checksum_ok);
+}
+
+// --- Golden frames -----------------------------------------------------------
+
+TEST(Wire, EveryLiveMessageEncodesToItsGoldenFrame) {
+    const auto frames = sample_frames();
+    ASSERT_EQ(frames.size(), std::size(golden::frames));
+    // The samples cover every live type, in id order, and nothing else.
+    std::size_t sampled = 0;
+    for (unsigned raw = 0; raw <= 0xFF; ++raw) {
+        const auto type = static_cast<message_type>(raw);
+        if (std::string_view{to_string(type)} == "unknown") {
+            continue;
+        }
+        ASSERT_LT(sampled, frames.size());
+        EXPECT_EQ(frames[sampled].first, type);
+        ++sampled;
+    }
+    EXPECT_EQ(sampled, frames.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        const auto& [type, bytes] = frames[i];
+        SCOPED_TRACE(to_string(type));
+        EXPECT_EQ(to_string(type), golden::frames[i].type);
+        EXPECT_EQ(to_hex(bytes), golden::frames[i].hex);
+        EXPECT_EQ(parse_frame(bytes).header.type, type);
+    }
+}
+
+TEST(Wire, SampleRequestFingerprintsAreGolden) {
+    const auto requests = sample_requests();
+    ASSERT_EQ(requests.size(), std::size(golden::fingerprints));
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        SCOPED_TRACE(requests[i].first);
+        EXPECT_EQ(requests[i].first, golden::fingerprints[i].request);
+        const auto words = serve::fingerprint(requests[i].second);
+        EXPECT_EQ(words[0], golden::fingerprints[i].hi);
+        EXPECT_EQ(words[1], golden::fingerprints[i].lo);
+    }
 }
 
 // --- Fault taxonomy ----------------------------------------------------------
@@ -463,8 +517,6 @@ TEST(Wire, EveryMessagePayloadRejectsEveryTruncation) {
     expect_hardened("submit",
                     encode_submit({sample_digest(), sample_request()}),
                     [](std::string_view b) { (void)decode_submit(b); });
-    expect_hardened("stats", encode_stats(sample_stats()),
-                    [](std::string_view b) { (void)decode_stats(b); });
     expect_hardened("metrics", encode_metrics(sample_metrics()),
                     [](std::string_view b) { (void)decode_metrics(b); });
     expect_hardened("cache_load",
@@ -510,6 +562,20 @@ TEST(Wire, HeaderRejectsBadMagicVersionTypeAndSize) {
     EXPECT_THROW((void)parse_header(bad_type), wire_error);
     bad_type[8] = static_cast<char>(0xFF);
     EXPECT_THROW((void)parse_header(bad_type), wire_error);
+
+    // Retired ids (10 and 11 carried the stats/stats_ok pair) are never
+    // reused: they read as unknown types.
+    for (const int retired : {10, 11}) {
+        bad_type[8] = static_cast<char>(retired);
+        try {
+            (void)parse_header(bad_type);
+            ADD_FAILURE() << "accepted retired type " << retired;
+        } catch (const wire_error& fault) {
+            EXPECT_EQ(std::string{fault.what()},
+                      "unknown message type " + std::to_string(retired) +
+                          " at byte offset 8");
+        }
+    }
 
     std::string huge = good;
     for (std::size_t i = 17; i < 25; ++i) {

@@ -128,6 +128,12 @@ TEST(Dewlint, BadFixtureFiresMetricCatalogue) {
                     "metric 'bad.phantom_series' is registered here but "
                     "absent from docs/OBSERVABILITY.md"))
         << render(findings);
+    // A name in a `metric-table` annotated table, outside any provider
+    // body, is checked the same way.
+    EXPECT_TRUE(has(findings, "metric-catalogue",
+                    "metric 'bad.tabled_phantom' is registered here but "
+                    "absent from docs/OBSERVABILITY.md"))
+        << render(findings);
     // The documented sibling in the same provider body stays quiet.
     EXPECT_FALSE(has(findings, "metric-catalogue", "bad.documented"))
         << render(findings);

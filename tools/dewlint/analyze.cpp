@@ -84,6 +84,8 @@ void parse_comment(const comment& com, std::vector<annotation>& out) {
             } else if (words[0] == "wire") {
                 a.kind = annotation_kind::wire;
                 a.args.assign(words.begin() + 1, words.end());
+            } else if (words[0] == "metric-table") {
+                a.kind = annotation_kind::metric_table;
             } else if (words[0] == "hot-loop") {
                 a.kind = annotation_kind::hot_loop;
                 a.args.assign(words.begin() + 1, words.end());

@@ -11,6 +11,18 @@ struct metric_sample {
     std::uint64_t value{0};
 };
 
+// A name table outside the provider body, annotated so its names are
+// checked too.
+struct series {
+    const char* name;
+    std::uint64_t value;
+};
+
+// dewlint: metric-table
+constexpr series table[] = {
+    {"good.tabled", 3},
+};
+
 // A prototype before the definition: a `;` at the anchor depth must not
 // confuse the body walk.
 void sample_metrics(std::vector<metric_sample>& out);
@@ -18,6 +30,9 @@ void sample_metrics(std::vector<metric_sample>& out);
 void sample_metrics(std::vector<metric_sample>& out) {
     out.push_back({"good.requests", 1});
     out.push_back({"good.latency_ns", 2});
+    for (const series& s : table) {
+        out.push_back({s.name, s.value});
+    }
     const std::string prefix = "good.backend.";
     out.push_back({prefix + "healthy", 1});
     // Prose never matches the name shape, catalogued or not.

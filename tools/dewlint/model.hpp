@@ -10,6 +10,7 @@
 //   dewlint: identity-exempt <field> <why>  field deliberately not hashed
 //   dewlint: wire-enum                      next enum class is message_type
 //   dewlint: wire <codec>|none|raw          per enum entry payload codec
+//   dewlint: metric-table                   next braced table names metrics
 //   dewlint: hot-loop begin <name>          start of an allocation-free region
 //   dewlint: hot-loop end <name>            end of that region
 //   dewlint-allow(<rule>): <reason>         suppress on this or the next line
@@ -32,6 +33,7 @@ enum class annotation_kind {
     identity_exempt, // args: field, reason...
     wire_enum,       // no args
     wire,            // args: codec | none | raw
+    metric_table,    // no args
     hot_loop,        // args: begin|end, region name
     allow,           // args: rule; reason required
 };

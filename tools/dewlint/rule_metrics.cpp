@@ -13,7 +13,10 @@
 // error messages never match).  Each collected name must be a substring
 // of docs/OBSERVABILITY.md.  Declarations (a `;` before any `{` at the
 // same depth) are skipped, so the struct definition and provider
-// prototypes cost nothing.
+// prototypes cost nothing.  A name table a provider exports from (the
+// service's field-to-series binding) lives outside any provider body, so
+// it carries a `dewlint: metric-table` annotation: the braced initializer
+// after it is checked the same way.
 #include "rules.hpp"
 
 #include <cctype>
@@ -51,15 +54,58 @@ bool looks_like_metric_name(std::string_view content) {
     return has_dot;
 }
 
+// Reports every metric-shaped literal in tokens (open, close) that the
+// catalogue lacks, once per name per file (`reported`): a provider that
+// registers the same prefix literal for five backends is one omission, not
+// five.
+void check_names(const source_file& file, std::size_t open,
+                 std::size_t close, const std::string& catalogue,
+                 std::set<std::string>& reported,
+                 std::vector<diagnostic>& out) {
+    for (std::size_t j = open + 1; j < close; ++j) {
+        const token& lit = file.tokens[j];
+        if (lit.kind != token_kind::string || lit.text.size() < 2 ||
+            lit.text.front() != '"') {
+            continue;
+        }
+        const std::string name = lit.text.substr(1, lit.text.size() - 2);
+        if (!looks_like_metric_name(name)) { continue; }
+        if (catalogue.find(name) != std::string::npos) { continue; }
+        if (!reported.insert(name).second) { continue; }
+        emit(out, file, lit.line, "metric-catalogue",
+             "metric '" + name +
+                 "' is registered here but absent from "
+                 "docs/OBSERVABILITY.md's catalogue");
+    }
+}
+
 } // namespace
 
 void metric_catalogue(const project& proj, std::vector<diagnostic>& out) {
     const std::string catalogue = read_catalogue(proj.root);
     for (const source_file& file : proj.files) {
         if (file.category != file_category::source) { continue; }
-        // One report per name per file: a provider that registers the same
-        // prefix literal for five backends is one omission, not five.
         std::set<std::string> reported;
+        for (const annotation& a : file.annotations) {
+            if (a.kind != annotation_kind::metric_table) { continue; }
+            std::size_t open = file.tokens.size();
+            for (std::size_t j = 0; j < file.tokens.size(); ++j) {
+                const token& t = file.tokens[j];
+                if (t.line <= a.line || t.kind != token_kind::punct) {
+                    continue;
+                }
+                if (t.text == "{") { open = j; }
+                if (t.text == "{" || t.text == ";") { break; }
+            }
+            if (open == file.tokens.size()) {
+                emit(out, file, a.line, "annotation",
+                     "metric-table annotation is not followed by a braced "
+                     "table");
+                continue;
+            }
+            check_names(file, open, match_close(file.tokens, open),
+                        catalogue, reported, out);
+        }
         for (std::size_t i = 0; i < file.tokens.size(); ++i) {
             const token& t = file.tokens[i];
             if (t.kind != token_kind::ident || t.text != "metric_sample") {
@@ -80,22 +126,7 @@ void metric_catalogue(const project& proj, std::vector<diagnostic>& out) {
             }
             if (open == file.tokens.size()) { continue; }
             const std::size_t close = match_close(file.tokens, open);
-            for (std::size_t j = open + 1; j < close; ++j) {
-                const token& lit = file.tokens[j];
-                if (lit.kind != token_kind::string || lit.text.size() < 2 ||
-                    lit.text.front() != '"') {
-                    continue;
-                }
-                const std::string name =
-                    lit.text.substr(1, lit.text.size() - 2);
-                if (!looks_like_metric_name(name)) { continue; }
-                if (catalogue.find(name) != std::string::npos) { continue; }
-                if (!reported.insert(name).second) { continue; }
-                emit(out, file, lit.line, "metric-catalogue",
-                     "metric '" + name +
-                         "' is registered here but absent from "
-                         "docs/OBSERVABILITY.md's catalogue");
-            }
+            check_names(file, open, close, catalogue, reported, out);
             i = close; // resume after the provider body
         }
     }
