@@ -2,7 +2,11 @@
 
 #include <bit>
 #include <cerrno>
+#include <chrono>
+#include <concepts>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -15,76 +19,182 @@ namespace dew::net {
 
 namespace {
 
-// --- Little-endian writers (string-building; the socket layer sends the
-// --- finished frame in one write) -------------------------------------------
-
-void put_u8(std::string& out, std::uint8_t value) {
-    out.push_back(static_cast<char>(value));
-}
-
-void put_u32(std::string& out, std::uint32_t value) {
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
+void put_le(std::string& out, std::uint64_t value, std::size_t width) {
+    char bytes[8];
+    for (std::size_t i = 0; i < width; ++i) {
+        bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
     }
+    out.append(bytes, width);
 }
 
-void put_u64(std::string& out, std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
+std::uint64_t load_le(const char* bytes, std::size_t width) {
+    std::uint64_t value = 0;
+    for (std::size_t i = width; i-- > 0;) {
+        value = (value << 8) | static_cast<unsigned char>(bytes[i]);
     }
+    return value;
 }
 
-void put_f64(std::string& out, double value) {
-    put_u64(out, std::bit_cast<std::uint64_t>(value));
+// --- Field lists --------------------------------------------------------------
+// Every payload is one field list: a generic lambda `(v, m)` that names
+// each field once, in wire order, with its width and its bound.  `writer`
+// walks it to encode (`m` const) and `cursor` to decode.  The kinds:
+//   u32 / u64 / f64          little-endian; u64 also carries size_t and the
+//                            i64 deadline
+//   boolean                  one byte, 0 or 1
+//   enum8(label, e, max)     one byte, at most `max`
+//   bytes(label, s, limit)   a length as wide as `limit`'s type and at most
+//                            `limit`, then that many bytes
+//   list(label, c, limit, f) a count as wide as `limit`'s type and at most
+//                            `limit`, then each element walked by `f`
+//   optional(label, p, f)    a presence byte, then `*p` walked by `f`
+//   sweep_record(label, s)   the self-delimiting "DSWR" record
+
+template <class T>
+constexpr T unbounded = std::numeric_limits<T>::max();
+
+// Counts and lengths past these bounds are garbage framing, not big
+// messages: the paper's whole Table-1 grid is 7 x 4, a registry snapshot
+// holds tens of entries, and the server's event ring holds
+// service_options::event_ring_capacity (default 1024).
+constexpr std::uint32_t max_grid_values = 4096;
+constexpr std::uint32_t max_estimate_configs = 1u << 20;
+constexpr std::uint32_t max_metric_entries = 1u << 16;
+constexpr std::uint32_t max_metric_name_bytes = 1u << 12;
+constexpr std::uint32_t max_event_entries = 1u << 20;
+
+template <class T, class F> std::size_t min_wire_bytes(F fields);
+
+struct writer {
+    std::string out;
+
+    void u32(const char*, std::uint32_t value) { put_le(out, value, 4); }
+    void u64(const char*, std::uint64_t value) { put_le(out, value, 8); }
+    void u64(const char*, std::chrono::nanoseconds value) {
+        put_le(out, static_cast<std::uint64_t>(value.count()), 8);
+    }
+    void f64(const char*, double value) {
+        put_le(out, std::bit_cast<std::uint64_t>(value), 8);
+    }
+    void boolean(const char*, bool value) { put_le(out, value ? 1 : 0, 1); }
+    template <class E, class Max> void enum8(const char*, E value, Max) {
+        put_le(out, static_cast<std::uint8_t>(value), 1);
+    }
+    template <class Limit>
+    void bytes(const char*, std::string_view value, Limit) {
+        put_le(out, value.size(), sizeof(Limit));
+        out.append(value);
+    }
+    template <class Limit, class C, class F>
+    void list(const char*, const C& values, Limit, F fields) {
+        put_le(out, values.size(), sizeof(Limit));
+        out.reserve(out.size() + values.size() *
+                                     min_wire_bytes<typename C::value_type>(
+                                         fields));
+        for (const auto& value : values) {
+            fields(*this, value);
+        }
+    }
+    template <class T, class F>
+    void optional(const char*, const std::shared_ptr<const T>& value,
+                  F fields) {
+        put_le(out, value ? 1 : 0, 1);
+        if (value) {
+            fields(*this, *value);
+        }
+    }
+    void sweep_record(const char*, const core::sweep_result& sweep) {
+        std::ostringstream record;
+        core::write_binary_result(record, sweep);
+        out.append(record.str());
+    }
+};
+
+template <class M, class F> std::string encode(const M& message, F fields) {
+    writer w;
+    fields(w, message);
+    return std::move(w.out);
 }
 
-// --- Bounds-checked payload cursor ------------------------------------------
-// Offsets are frame-relative: payload byte 0 sits at frame byte
-// frame_header_bytes, and every fault names the absolute frame offset —
-// the same discipline as dew::result_io's payload_reader.
+// The least wire size of a list element: the encoding of a default one,
+// whose every length, count and presence byte is zero.
+template <class T, class F> std::size_t min_wire_bytes(F fields) {
+    static const std::size_t least = encode(T{}, fields).size();
+    return least;
+}
 
+// Bounds-checked decoder.  Offsets are frame-relative: payload byte 0 sits
+// at frame byte frame_header_bytes, and every fault names the field and
+// the absolute frame offset — the same discipline as dew::result_io's
+// payload_reader.
 class cursor {
 public:
-    cursor(std::string_view bytes, const char* message_name)
-        : bytes_{bytes}, name_{message_name} {}
+    cursor(std::string_view payload, const char* message_name)
+        : bytes_{payload}, name_{message_name} {}
 
-    [[nodiscard]] std::uint64_t offset() const noexcept {
-        return frame_header_bytes + position_;
+    void u32(const char* field, std::uint32_t& value) {
+        value = static_cast<std::uint32_t>(get_le(4, field));
     }
-
-    [[nodiscard]] std::size_t remaining() const noexcept {
-        return bytes_.size() - position_;
+    template <std::unsigned_integral T> void u64(const char* field, T& value) {
+        value = static_cast<T>(get_le(8, field));
     }
-
-    [[nodiscard]] std::string_view rest() const noexcept {
-        return bytes_.substr(position_);
+    void u64(const char* field, std::chrono::nanoseconds& value) {
+        value = std::chrono::nanoseconds{
+            static_cast<std::int64_t>(get_le(8, field))};
     }
-
-    void advance(std::size_t bytes) noexcept { position_ += bytes; }
-
-    std::uint8_t get_u8(const char* field) {
-        return static_cast<std::uint8_t>(get_le(1, field));
+    void f64(const char* field, double& value) {
+        value = std::bit_cast<double>(get_le(8, field));
     }
-
-    std::uint32_t get_u32(const char* field) {
-        return static_cast<std::uint32_t>(get_le(4, field));
-    }
-
-    std::uint64_t get_u64(const char* field) { return get_le(8, field); }
-
-    double get_f64(const char* field) {
-        return std::bit_cast<double>(get_le(8, field));
-    }
-
-    bool get_bool(const char* field) {
-        const std::uint8_t value = get_u8(field);
-        if (value > 1) {
-            throw wire_error{std::string{name_} + " payload: " + field +
-                             " must be 0 or 1, got " + std::to_string(value) +
-                             " at byte offset " +
-                             std::to_string(offset() - 1)};
+    void boolean(const char* field, bool& value) { enum8(field, value, 1); }
+    template <class E, class Max>
+    void enum8(const char* field, E& value, Max max) {
+        const std::uint64_t raw = get_le(1, field);
+        if (raw > static_cast<std::uint64_t>(max)) {
+            fail(std::string{field} + " " + std::to_string(raw) +
+                 at(offset() - 1) + " is out of range (max " +
+                 std::to_string(static_cast<std::uint64_t>(max)) + ")");
         }
-        return value != 0;
+        value = static_cast<E>(raw);
+    }
+    template <class Limit>
+    void bytes(const char* field, std::string& value, Limit limit) {
+        const std::uint64_t length = get_count(field, limit, 1);
+        value.assign(bytes_.substr(position_, length));
+        position_ += length;
+    }
+    template <class Limit, class C, class F>
+    void list(const char* field, C& values, Limit limit, F fields) {
+        const std::uint64_t count = get_count(
+            field, limit, min_wire_bytes<typename C::value_type>(fields));
+        values.clear(); // a default service_request carries default grids
+        values.reserve(static_cast<std::size_t>(count));
+        for (std::uint64_t i = 0; i < count; ++i) {
+            fields(*this, values.emplace_back());
+        }
+    }
+    template <class T, class F>
+    void optional(const char* field, std::shared_ptr<const T>& value,
+                  F fields) {
+        bool present = false;
+        boolean(field, present);
+        if (present) {
+            T decoded{};
+            fields(*this, decoded);
+            value = std::make_shared<const T>(std::move(decoded));
+        }
+    }
+    void sweep_record(const char* field, core::sweep_result& sweep) {
+        // The record's own reader reports record-relative offsets, so
+        // re-anchor them to the frame.
+        const std::uint64_t record_at = offset();
+        std::istringstream in{std::string{bytes_.substr(position_)}};
+        try {
+            sweep = core::read_binary_result(in);
+        } catch (const std::runtime_error& fault) {
+            fail(std::string{field} + " starting" + at(record_at) + ": " +
+                 fault.what());
+        }
+        position_ += static_cast<std::size_t>(in.tellg());
     }
 
     // Every decoder's last step: the declared payload and the decoded
@@ -95,30 +205,58 @@ public:
             throw wire_error{std::string{name_} + " payload is " +
                              std::to_string(bytes_.size()) +
                              " bytes but its structure decodes " +
-                             std::to_string(position_) +
-                             ": trailing bytes at byte offset " +
-                             std::to_string(offset())};
+                             std::to_string(position_) + ": trailing bytes" +
+                             at(offset())};
         }
     }
 
 private:
+    [[nodiscard]] std::uint64_t offset() const noexcept {
+        return frame_header_bytes + position_;
+    }
+    [[nodiscard]] std::size_t remaining() const noexcept {
+        return bytes_.size() - position_;
+    }
+    static std::string at(std::uint64_t offset) {
+        return " at byte offset " + std::to_string(offset);
+    }
+    [[noreturn]] void fail(const std::string& what) const {
+        throw wire_error{std::string{name_} + " payload: " + what};
+    }
+    [[noreturn]] void truncated(const std::string& what) const {
+        throw wire_error{"truncated " + std::string{name_} + " payload: " +
+                         what + " but the payload ends" +
+                         at(frame_header_bytes + bytes_.size())};
+    }
+
     std::uint64_t get_le(std::size_t width, const char* field) {
         if (remaining() < width) {
-            throw wire_error{"truncated " + std::string{name_} +
-                             " payload: " + field + " needs " +
-                             std::to_string(width) + " bytes at byte offset " +
-                             std::to_string(offset()) +
-                             " but the payload ends at byte offset " +
-                             std::to_string(frame_header_bytes +
-                                            bytes_.size())};
+            truncated(std::string{field} + " needs " + std::to_string(width) +
+                      " bytes" + at(offset()));
         }
-        std::uint64_t value = 0;
-        for (std::size_t i = width; i-- > 0;) {
-            value = (value << 8) |
-                    static_cast<unsigned char>(bytes_[position_ + i]);
-        }
+        const std::uint64_t value = load_le(bytes_.data() + position_, width);
         position_ += width;
         return value;
+    }
+    // A length or count as wide as Limit, at most `limit`, whose entries
+    // of at least `least` bytes fit in the rest of the payload.  Checked
+    // before anything is reserved, so a forged count can neither wrap a
+    // product nor reserve more than the frame carries.
+    template <class Limit>
+    std::uint64_t get_count(const char* field, Limit limit, std::size_t least) {
+        const std::uint64_t count = get_le(sizeof(Limit), field);
+        if (count > limit || count > remaining() / least) {
+            const std::string what = std::string{field} + " " +
+                                     std::to_string(count) +
+                                     at(offset() - sizeof(Limit));
+            if (count > limit) {
+                fail("implausible " + what + " (limit " +
+                     std::to_string(limit) + ")");
+            }
+            truncated(what + " needs " + std::to_string(least) +
+                      " bytes per entry");
+        }
+        return count;
     }
 
     std::string_view bytes_;
@@ -126,11 +264,163 @@ private:
     std::size_t position_{0};
 };
 
-// A grid list longer than this is not a sweep request, it is garbage
-// framing (the paper's whole Table-1 space uses 7 x 4).
-constexpr std::uint32_t max_grid_values = 4096;
-// Likewise for per-configuration estimate lists.
-constexpr std::uint32_t max_estimate_configs = 1u << 20;
+template <class M, class F>
+M decode(std::string_view payload, const char* name, F fields) {
+    cursor in{payload, name};
+    M message{};
+    fields(in, message);
+    in.finish();
+    return message;
+}
+
+constexpr auto error_fields = [](auto& v, auto& m) {
+    v.enum8("fault code", m.code, fault_code::runtime);
+    v.bytes("message length", m.what, unbounded<std::uint32_t>);
+};
+
+constexpr auto records_fields = [](auto& v, auto& records) {
+    v.list("record count", records, unbounded<std::uint64_t>,
+           [](auto& e, auto& record) {
+               e.u64("record address", record.address);
+               e.enum8("record type", record.type, trace::access_type::ifetch);
+           });
+};
+
+constexpr auto digest_fields = [](auto& v, auto& digest) {
+    v.u64("digest word 0", digest.words[0]);
+    v.u64("digest word 1", digest.words[1]);
+};
+
+constexpr auto flag_fields = [](auto& v, auto& flag) {
+    v.boolean("flag", flag);
+};
+
+constexpr auto cancel_fields = [](auto& v, auto& submit_id) {
+    v.u64("submit id", submit_id);
+};
+
+constexpr auto submit_fields = [](auto& v, auto& m) {
+    digest_fields(v, m.digest);
+    auto& r = m.request;
+    v.enum8("service mode", r.mode, serve::service_mode::representative);
+    v.u64("deadline", r.deadline);
+    v.u32("max_set_exp", r.sweep.max_set_exp);
+    v.enum8("sweep engine", r.sweep.engine, core::sweep_engine::cipar);
+    v.enum8("instrumentation", r.sweep.instrumentation,
+            core::sweep_instrumentation::full_counters);
+    v.boolean("use_mra_stop", r.sweep.options.use_mra_stop);
+    v.boolean("use_wave", r.sweep.options.use_wave);
+    v.boolean("use_mre", r.sweep.options.use_mre);
+    v.u32("mre_depth", r.sweep.options.mre_depth);
+    v.list("block size count", r.sweep.block_sizes, max_grid_values,
+           [](auto& e, auto& block) { e.u32("block size", block); });
+    v.list("associativity count", r.sweep.associativities, max_grid_values,
+           [](auto& e, auto& assoc) { e.u32("associativity", assoc); });
+    v.u64("interval_records", r.phase.interval_records);
+    v.u32("signature_block_size", r.phase.signature_block_size);
+    v.u32("signature_width", r.phase.signature_width);
+    v.u32("max_phases", r.phase.max_phases);
+    v.u32("kmeans_iterations", r.phase.kmeans_iterations);
+    v.u64("chunk_records", r.phase.chunk_records);
+    v.u64("warmup_records", r.warmup_records);
+    v.f64("error_budget_pp", r.error_budget_pp);
+    // Trace context last: telemetry-only fields extend the payload, they
+    // never reshuffle the identity-bearing prefix.
+    v.u64("obs_trace_hi", r.obs_trace_hi);
+    v.u64("obs_trace_lo", r.obs_trace_lo);
+    v.u64("obs_parent_span", r.obs_parent_span);
+};
+
+constexpr auto estimate_fields = [](auto& v, auto& m) {
+    v.u64("estimate total_records", m.total_records);
+    v.u64("estimate simulated_records", m.simulated_records);
+    v.f64("estimate analysis_seconds", m.analysis_seconds);
+    v.f64("estimate simulation_seconds", m.simulation_seconds);
+    v.f64("estimate calibration_seconds", m.calibration_seconds);
+    v.boolean("estimate calibrated", m.calibrated);
+    v.f64("estimate max_abs_error_pp", m.max_abs_error_pp);
+    v.list("estimate config count", m.configs, max_estimate_configs,
+           [](auto& e, auto& c) {
+               e.u32("estimate set count", c.config.set_count);
+               e.u32("estimate associativity", c.config.associativity);
+               e.u32("estimate block size", c.config.block_size);
+               e.u64("estimated misses", c.estimated_misses);
+               e.f64("estimated miss rate", c.estimated_miss_rate);
+               e.u64("exact misses", c.exact_misses);
+               e.f64("exact miss rate", c.exact_miss_rate);
+               e.f64("abs error", c.abs_error_pp);
+           });
+};
+
+// The exact sweep travels as its "DSWR" record; the estimate as its
+// per-configuration numbers and accuracy statement.
+constexpr auto result_fields = [](auto& v, auto& m) {
+    v.boolean("cache_hit", m.cache_hit);
+    v.boolean("coalesced", m.coalesced);
+    v.boolean("estimated", m.estimated);
+    v.boolean("fell_back_exact", m.fell_back_exact);
+    v.boolean("degraded", m.degraded);
+    v.u32("flight_retries", m.flight_retries);
+    v.f64("max_abs_error_pp", m.max_abs_error_pp);
+    v.optional("has sweep", m.sweep, [](auto& e, auto& sweep) {
+        e.sweep_record("sweep record", sweep);
+    });
+    v.optional("has estimate", m.estimate, estimate_fields);
+};
+
+constexpr auto metrics_fields = [](auto& v, auto& metrics) {
+    v.list("metric count", metrics, max_metric_entries, [](auto& e, auto& m) {
+        e.bytes("metric name length", m.name, max_metric_name_bytes);
+        e.enum8("metric kind", m.kind, obs::metric_kind::latency);
+        // Fixed shape for every kind: value for counters/gauges, the
+        // latency reduction for histograms, zeros for the other half.
+        e.u64("metric value", m.value);
+        e.u64("metric sample count", m.count);
+        e.u64("metric p50", m.p50_ns);
+        e.u64("metric p95", m.p95_ns);
+        e.u64("metric p99", m.p99_ns);
+        // The raw buckets travel too (zeros for counters/gauges): the
+        // router's aggregated scrape re-merges them bucket-wise, which is
+        // exact where re-merging percentiles would not be.
+        for (auto& bucket : m.hist.counts) {
+            e.u64("metric bucket", bucket);
+        }
+    });
+};
+
+constexpr auto events_fields = [](auto& v, auto& events) {
+    v.list("event count", events, max_event_entries, [](auto& e, auto& m) {
+        e.u64("event trace_hi", m.trace_hi);
+        e.u64("event trace_lo", m.trace_lo);
+        e.u64("event correlation", m.correlation);
+        e.u64("event key_hi", m.key_hi);
+        e.u64("event key_lo", m.key_lo);
+        e.u64("event node", m.node);
+        e.enum8("event tier", m.tier, serve::service_mode::representative);
+        e.enum8("event disposition", m.disposition,
+                obs::max_event_disposition);
+        e.u32("event retries", m.retries);
+        e.u64("event start_ns", m.start_ns);
+        e.u64("event queue_ns", m.queue_ns);
+        e.u64("event run_ns", m.run_ns);
+        e.u64("event total_ns", m.total_ns);
+    });
+};
+
+constexpr auto cache_load_fields = [](auto& v, auto& m) {
+    v.enum8("load mode", m.mode, serve::load_mode::salvage);
+    // Length-prefixed so a truncated or padded image is rejected here,
+    // before the cache's own "DSCF" loader ever sees the bytes.
+    v.bytes("cache image length", m.cache_file, unbounded<std::uint64_t>);
+};
+
+constexpr auto load_report_fields = [](auto& v, auto& m) {
+    v.u64("loaded", m.loaded);
+    v.u64("skipped", m.skipped);
+    v.boolean("salvaged", m.salvaged);
+    v.u64("salvaged_at", m.salvaged_at);
+    v.boolean("checksum_ok", m.checksum_ok);
+};
 
 } // namespace
 
@@ -169,10 +459,10 @@ std::string encode_frame(message_type type, std::uint64_t id,
     std::string out;
     out.reserve(frame_header_bytes + payload.size());
     out.append(frame_magic, sizeof(frame_magic));
-    put_u32(out, wire_version);
-    put_u8(out, static_cast<std::uint8_t>(type));
-    put_u64(out, id);
-    put_u64(out, payload.size());
+    put_le(out, wire_version, 4);
+    put_le(out, static_cast<std::uint8_t>(type), 1);
+    put_le(out, id, 8);
+    put_le(out, payload.size(), 8);
     out.append(payload);
     return out;
 }
@@ -188,10 +478,7 @@ frame_header parse_header(std::string_view bytes) {
         throw wire_error{
             "bad frame magic at byte offset 0 (want \"DSNW\")"};
     }
-    std::uint32_t version = 0;
-    for (std::size_t i = 8; i-- > 4;) {
-        version = (version << 8) | static_cast<unsigned char>(bytes[i]);
-    }
+    const std::uint64_t version = load_le(bytes.data() + 4, 4);
     if (version != wire_version) {
         throw wire_error{"unsupported wire version " +
                          std::to_string(version) + " at byte offset 4"};
@@ -203,13 +490,8 @@ frame_header parse_header(std::string_view bytes) {
         throw wire_error{"unknown message type " + std::to_string(raw_type) +
                          " at byte offset 8"};
     }
-    for (std::size_t i = 17; i-- > 9;) {
-        header.id = (header.id << 8) | static_cast<unsigned char>(bytes[i]);
-    }
-    for (std::size_t i = 25; i-- > 17;) {
-        header.payload_bytes =
-            (header.payload_bytes << 8) | static_cast<unsigned char>(bytes[i]);
-    }
+    header.id = load_le(bytes.data() + 9, 8);
+    header.payload_bytes = load_le(bytes.data() + 17, 8);
     if (header.payload_bytes > max_frame_payload) {
         throw wire_error{"implausible payload size " +
                          std::to_string(header.payload_bytes) +
@@ -306,589 +588,98 @@ void rethrow_fault(const error_message& message) {
     throw std::runtime_error{message.what};
 }
 
+// --- Typed payload codecs -----------------------------------------------------
+
 std::string encode_error(const error_message& message) {
-    std::string out;
-    put_u8(out, static_cast<std::uint8_t>(message.code));
-    put_u32(out, static_cast<std::uint32_t>(message.what.size()));
-    out.append(message.what);
-    return out;
+    return encode(message, error_fields);
 }
-
 error_message decode_error(std::string_view payload) {
-    cursor in{payload, "error"};
-    error_message message;
-    const std::uint8_t code = in.get_u8("fault code");
-    if (code > static_cast<std::uint8_t>(fault_code::runtime)) {
-        throw wire_error{"error payload: unknown fault code " +
-                         std::to_string(code) + " at byte offset " +
-                         std::to_string(in.offset() - 1)};
-    }
-    message.code = static_cast<fault_code>(code);
-    const std::uint32_t length = in.get_u32("message length");
-    if (in.remaining() < length) {
-        throw wire_error{
-            "truncated error payload: message declares " +
-            std::to_string(length) + " bytes at byte offset " +
-            std::to_string(in.offset()) + " but the payload ends at byte "
-            "offset " +
-            std::to_string(in.offset() + in.remaining())};
-    }
-    message.what = std::string{in.rest().substr(0, length)};
-    in.advance(length);
-    in.finish();
-    return message;
+    return decode<error_message>(payload, "error", error_fields);
 }
-
-// --- Records ----------------------------------------------------------------
 
 std::string encode_records(const trace::mem_trace& records) {
-    std::string out;
-    out.reserve(8 + records.size() * 9);
-    put_u64(out, records.size());
-    for (const trace::mem_access& record : records) {
-        put_u64(out, record.address);
-        put_u8(out, static_cast<std::uint8_t>(record.type));
-    }
-    return out;
+    return encode(records, records_fields);
 }
-
 trace::mem_trace decode_records(std::string_view payload) {
-    cursor in{payload, "register_trace"};
-    const std::uint64_t count = in.get_u64("record count");
-    if (count * 9 != in.remaining()) {
-        throw wire_error{
-            "register_trace payload: record count " + std::to_string(count) +
-            " at byte offset " + std::to_string(frame_header_bytes) +
-            " disagrees with the " + std::to_string(in.remaining()) +
-            " payload bytes that follow (want " + std::to_string(count * 9) +
-            ")"};
-    }
-    trace::mem_trace records;
-    records.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        trace::mem_access record;
-        record.address = in.get_u64("record address");
-        const std::uint8_t type = in.get_u8("record type");
-        if (type > 2) {
-            throw wire_error{"register_trace payload: bad access type " +
-                             std::to_string(type) + " at byte offset " +
-                             std::to_string(in.offset() - 1)};
-        }
-        record.type = static_cast<trace::access_type>(type);
-        records.push_back(record);
-    }
-    in.finish();
-    return records;
+    return decode<trace::mem_trace>(payload, "register_trace", records_fields);
 }
-
-// --- Digest / flag / cancel --------------------------------------------------
 
 std::string encode_digest(const trace::trace_digest& digest) {
-    std::string out;
-    put_u64(out, digest.words[0]);
-    put_u64(out, digest.words[1]);
-    return out;
+    return encode(digest, digest_fields);
 }
-
 trace::trace_digest decode_digest(std::string_view payload) {
-    cursor in{payload, "digest"};
-    trace::trace_digest digest;
-    digest.words[0] = in.get_u64("digest word 0");
-    digest.words[1] = in.get_u64("digest word 1");
-    in.finish();
-    return digest;
+    return decode<trace::trace_digest>(payload, "digest", digest_fields);
 }
 
-std::string encode_flag(bool value) {
-    std::string out;
-    put_u8(out, value ? 1 : 0);
-    return out;
-}
-
+std::string encode_flag(bool value) { return encode(value, flag_fields); }
 bool decode_flag(std::string_view payload) {
-    cursor in{payload, "flag"};
-    const bool value = in.get_bool("flag");
-    in.finish();
-    return value;
+    return decode<bool>(payload, "flag", flag_fields);
 }
 
 std::string encode_cancel_target(std::uint64_t submit_id) {
-    std::string out;
-    put_u64(out, submit_id);
-    return out;
+    return encode(submit_id, cancel_fields);
 }
-
 std::uint64_t decode_cancel_target(std::string_view payload) {
-    cursor in{payload, "cancel"};
-    const std::uint64_t id = in.get_u64("submit id");
-    in.finish();
-    return id;
+    return decode<std::uint64_t>(payload, "cancel", cancel_fields);
 }
-
-// --- Submit -----------------------------------------------------------------
 
 std::string encode_submit(const submit_message& message) {
-    const serve::service_request& request = message.request;
-    if (request.sweep.filter) {
+    if (message.request.sweep.filter) {
         // Same contract as serve::canonical: an opaque callable cannot
         // travel, and pretending it did would serve wrong answers.
         throw std::invalid_argument{
             "a service request with a stream filter cannot be sent over "
             "the wire"};
     }
-    std::string out;
-    put_u64(out, message.digest.words[0]);
-    put_u64(out, message.digest.words[1]);
-    put_u8(out, static_cast<std::uint8_t>(request.mode));
-    put_u64(out, static_cast<std::uint64_t>(request.deadline.count()));
-    put_u32(out, request.sweep.max_set_exp);
-    put_u8(out, static_cast<std::uint8_t>(request.sweep.engine));
-    put_u8(out, static_cast<std::uint8_t>(request.sweep.instrumentation));
-    put_u8(out, request.sweep.options.use_mra_stop ? 1 : 0);
-    put_u8(out, request.sweep.options.use_wave ? 1 : 0);
-    put_u8(out, request.sweep.options.use_mre ? 1 : 0);
-    put_u32(out, request.sweep.options.mre_depth);
-    put_u32(out, static_cast<std::uint32_t>(request.sweep.block_sizes.size()));
-    for (const std::uint32_t block : request.sweep.block_sizes) {
-        put_u32(out, block);
-    }
-    put_u32(out,
-            static_cast<std::uint32_t>(request.sweep.associativities.size()));
-    for (const std::uint32_t assoc : request.sweep.associativities) {
-        put_u32(out, assoc);
-    }
-    put_u64(out, request.phase.interval_records);
-    put_u32(out, request.phase.signature_block_size);
-    put_u32(out, request.phase.signature_width);
-    put_u32(out, request.phase.max_phases);
-    put_u32(out, request.phase.kmeans_iterations);
-    put_u64(out, request.phase.chunk_records);
-    put_u64(out, request.warmup_records);
-    put_f64(out, request.error_budget_pp);
-    // Trace context last: telemetry-only fields extend the payload, they
-    // never reshuffle the identity-bearing prefix.
-    put_u64(out, request.obs_trace_hi);
-    put_u64(out, request.obs_trace_lo);
-    put_u64(out, request.obs_parent_span);
-    return out;
+    return encode(message, submit_fields);
 }
-
 submit_message decode_submit(std::string_view payload) {
-    cursor in{payload, "submit"};
-    submit_message message;
-    message.digest.words[0] = in.get_u64("trace digest word 0");
-    message.digest.words[1] = in.get_u64("trace digest word 1");
-    const std::uint8_t mode = in.get_u8("service mode");
-    if (mode > 1) {
-        throw wire_error{"submit payload: unknown service mode " +
-                         std::to_string(mode) + " at byte offset " +
-                         std::to_string(in.offset() - 1)};
-    }
-    message.request.mode = static_cast<serve::service_mode>(mode);
-    message.request.deadline = std::chrono::nanoseconds{
-        static_cast<std::int64_t>(in.get_u64("deadline"))};
-    message.request.sweep.max_set_exp = in.get_u32("max_set_exp");
-    const std::uint8_t engine = in.get_u8("sweep engine");
-    if (engine > 1) {
-        throw wire_error{"submit payload: unknown sweep engine " +
-                         std::to_string(engine) + " at byte offset " +
-                         std::to_string(in.offset() - 1)};
-    }
-    message.request.sweep.engine = static_cast<core::sweep_engine>(engine);
-    const std::uint8_t instrumentation = in.get_u8("instrumentation");
-    if (instrumentation > 1) {
-        throw wire_error{"submit payload: unknown instrumentation policy " +
-                         std::to_string(instrumentation) +
-                         " at byte offset " + std::to_string(in.offset() - 1)};
-    }
-    message.request.sweep.instrumentation =
-        static_cast<core::sweep_instrumentation>(instrumentation);
-    message.request.sweep.options.use_mra_stop = in.get_bool("use_mra_stop");
-    message.request.sweep.options.use_wave = in.get_bool("use_wave");
-    message.request.sweep.options.use_mre = in.get_bool("use_mre");
-    message.request.sweep.options.mre_depth = in.get_u32("mre_depth");
-    const auto read_grid = [&in](const char* count_field,
-                                 const char* value_field) {
-        const std::uint32_t count = in.get_u32(count_field);
-        if (count > max_grid_values) {
-            throw wire_error{"submit payload: implausible " +
-                             std::string{count_field} + " " +
-                             std::to_string(count) + " at byte offset " +
-                             std::to_string(in.offset() - 4) + " (limit " +
-                             std::to_string(max_grid_values) + ")"};
-        }
-        std::vector<std::uint32_t> values;
-        values.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-            values.push_back(in.get_u32(value_field));
-        }
-        return values;
-    };
-    message.request.sweep.block_sizes =
-        read_grid("block size count", "block size");
-    message.request.sweep.associativities =
-        read_grid("associativity count", "associativity");
-    message.request.phase.interval_records = in.get_u64("interval_records");
-    message.request.phase.signature_block_size =
-        in.get_u32("signature_block_size");
-    message.request.phase.signature_width = in.get_u32("signature_width");
-    message.request.phase.max_phases = in.get_u32("max_phases");
-    message.request.phase.kmeans_iterations = in.get_u32("kmeans_iterations");
-    message.request.phase.chunk_records = static_cast<std::size_t>(
-        in.get_u64("chunk_records"));
-    message.request.warmup_records = in.get_u64("warmup_records");
-    message.request.error_budget_pp = in.get_f64("error_budget_pp");
-    message.request.obs_trace_hi = in.get_u64("obs_trace_hi");
-    message.request.obs_trace_lo = in.get_u64("obs_trace_lo");
-    message.request.obs_parent_span = in.get_u64("obs_parent_span");
-    in.finish();
-    return message;
+    return decode<submit_message>(payload, "submit", submit_fields);
 }
-
-// --- Result -----------------------------------------------------------------
-
-namespace {
-
-void encode_estimate(std::string& out,
-                     const phase::representative_sweep_result& estimate) {
-    put_u64(out, estimate.total_records);
-    put_u64(out, estimate.simulated_records);
-    put_f64(out, estimate.analysis_seconds);
-    put_f64(out, estimate.simulation_seconds);
-    put_f64(out, estimate.calibration_seconds);
-    put_u8(out, estimate.calibrated ? 1 : 0);
-    put_f64(out, estimate.max_abs_error_pp);
-    put_u32(out, static_cast<std::uint32_t>(estimate.configs.size()));
-    for (const phase::config_estimate& config : estimate.configs) {
-        put_u32(out, config.config.set_count);
-        put_u32(out, config.config.associativity);
-        put_u32(out, config.config.block_size);
-        put_u64(out, config.estimated_misses);
-        put_f64(out, config.estimated_miss_rate);
-        put_u64(out, config.exact_misses);
-        put_f64(out, config.exact_miss_rate);
-        put_f64(out, config.abs_error_pp);
-    }
-}
-
-phase::representative_sweep_result decode_estimate(cursor& in) {
-    phase::representative_sweep_result estimate;
-    estimate.total_records = in.get_u64("estimate total_records");
-    estimate.simulated_records = in.get_u64("estimate simulated_records");
-    estimate.analysis_seconds = in.get_f64("estimate analysis_seconds");
-    estimate.simulation_seconds = in.get_f64("estimate simulation_seconds");
-    estimate.calibration_seconds = in.get_f64("estimate calibration_seconds");
-    estimate.calibrated = in.get_bool("estimate calibrated");
-    estimate.max_abs_error_pp = in.get_f64("estimate max_abs_error_pp");
-    const std::uint32_t count = in.get_u32("estimate config count");
-    if (count > max_estimate_configs) {
-        throw wire_error{"result payload: implausible estimate config "
-                         "count " +
-                         std::to_string(count) + " at byte offset " +
-                         std::to_string(in.offset() - 4)};
-    }
-    estimate.configs.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        phase::config_estimate config;
-        config.config.set_count = in.get_u32("estimate set count");
-        config.config.associativity = in.get_u32("estimate associativity");
-        config.config.block_size = in.get_u32("estimate block size");
-        config.estimated_misses = in.get_u64("estimated misses");
-        config.estimated_miss_rate = in.get_f64("estimated miss rate");
-        config.exact_misses = in.get_u64("exact misses");
-        config.exact_miss_rate = in.get_f64("exact miss rate");
-        config.abs_error_pp = in.get_f64("abs error");
-        estimate.configs.push_back(config);
-    }
-    return estimate;
-}
-
-} // namespace
 
 std::string encode_result(const serve::service_result& result) {
-    std::string out;
-    put_u8(out, result.cache_hit ? 1 : 0);
-    put_u8(out, result.coalesced ? 1 : 0);
-    put_u8(out, result.estimated ? 1 : 0);
-    put_u8(out, result.fell_back_exact ? 1 : 0);
-    put_u8(out, result.degraded ? 1 : 0);
-    put_u32(out, result.flight_retries);
-    put_f64(out, result.max_abs_error_pp);
-    put_u8(out, result.sweep ? 1 : 0);
-    if (result.sweep) {
-        std::ostringstream sweep;
-        core::write_binary_result(sweep, *result.sweep);
-        out.append(sweep.str());
-    }
-    put_u8(out, result.estimate ? 1 : 0);
-    if (result.estimate) {
-        encode_estimate(out, *result.estimate);
-    }
-    return out;
+    return encode(result, result_fields);
 }
-
 serve::service_result decode_result(std::string_view payload) {
-    cursor in{payload, "result"};
-    serve::service_result result;
-    result.cache_hit = in.get_bool("cache_hit");
-    result.coalesced = in.get_bool("coalesced");
-    result.estimated = in.get_bool("estimated");
-    result.fell_back_exact = in.get_bool("fell_back_exact");
-    result.degraded = in.get_bool("degraded");
-    result.flight_retries = in.get_u32("flight_retries");
-    result.max_abs_error_pp = in.get_f64("max_abs_error_pp");
-    if (in.get_bool("has sweep")) {
-        // The "DSWR" record is self-delimiting; its reader reports offsets
-        // relative to the record, so re-anchor them to the frame.
-        const std::uint64_t record_at = in.offset();
-        std::istringstream sweep_in{std::string{in.rest()}};
-        try {
-            result.sweep = std::make_shared<const core::sweep_result>(
-                core::read_binary_result(sweep_in));
-        } catch (const std::runtime_error& fault) {
-            throw wire_error{
-                "result payload: sweep record starting at byte offset " +
-                std::to_string(record_at) + ": " + fault.what()};
-        }
-        in.advance(static_cast<std::size_t>(sweep_in.tellg()));
-    }
-    if (in.get_bool("has estimate")) {
-        result.estimate =
-            std::make_shared<const phase::representative_sweep_result>(
-                decode_estimate(in));
-    }
-    in.finish();
-    return result;
+    return decode<serve::service_result>(payload, "result", result_fields);
 }
-
-// --- Metrics ----------------------------------------------------------------
-
-namespace {
-
-// A registry snapshot holds tens of entries; thousands would already be a
-// misconfigured provider, and anything past these bounds is garbage
-// framing, not a big snapshot.
-constexpr std::uint32_t max_metric_entries = 1u << 16;
-constexpr std::uint32_t max_metric_name_bytes = 1u << 12;
-
-} // namespace
 
 std::string encode_metrics(const std::vector<obs::metric>& metrics) {
-    std::string out;
-    out.reserve(4 + metrics.size() * 64);
-    put_u32(out, static_cast<std::uint32_t>(metrics.size()));
-    for (const obs::metric& m : metrics) {
-        put_u32(out, static_cast<std::uint32_t>(m.name.size()));
-        out.append(m.name);
-        put_u8(out, static_cast<std::uint8_t>(m.kind));
-        // Fixed shape for every kind: value for counters/gauges, the
-        // latency reduction for histograms, zeros for the other half —
-        // self-delimiting without a per-kind branch in the cut-point
-        // tests.
-        put_u64(out, m.value);
-        put_u64(out, m.count);
-        put_u64(out, m.p50_ns);
-        put_u64(out, m.p95_ns);
-        put_u64(out, m.p99_ns);
-        // The raw buckets travel too (zeros for counters/gauges): the
-        // router's aggregated scrape re-merges them bucket-wise, which is
-        // exact where re-merging percentiles would not be.
-        for (const std::uint64_t bucket : m.hist.counts) {
-            put_u64(out, bucket);
-        }
-    }
-    return out;
+    return encode(metrics, metrics_fields);
 }
-
 std::vector<obs::metric> decode_metrics(std::string_view payload) {
-    cursor in{payload, "metrics"};
-    const std::uint32_t count = in.get_u32("metric count");
-    if (count > max_metric_entries) {
-        throw wire_error{"metrics payload: implausible metric count " +
-                         std::to_string(count) + " at byte offset " +
-                         std::to_string(frame_header_bytes)};
-    }
-    std::vector<obs::metric> metrics;
-    metrics.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        obs::metric m;
-        const std::uint32_t name_bytes = in.get_u32("metric name length");
-        if (name_bytes > max_metric_name_bytes) {
-            throw wire_error{
-                "metrics payload: implausible name length " +
-                std::to_string(name_bytes) + " at byte offset " +
-                std::to_string(in.offset() - 4)};
-        }
-        if (in.remaining() < name_bytes) {
-            throw wire_error{
-                "truncated metrics payload: name declares " +
-                std::to_string(name_bytes) + " bytes at byte offset " +
-                std::to_string(in.offset()) +
-                " but the payload ends at byte offset " +
-                std::to_string(in.offset() + in.remaining())};
-        }
-        m.name = std::string{in.rest().substr(0, name_bytes)};
-        in.advance(name_bytes);
-        const std::uint8_t kind = in.get_u8("metric kind");
-        if (kind > static_cast<std::uint8_t>(obs::metric_kind::latency)) {
-            throw wire_error{"metrics payload: unknown metric kind " +
-                             std::to_string(kind) + " at byte offset " +
-                             std::to_string(in.offset() - 1)};
-        }
-        m.kind = static_cast<obs::metric_kind>(kind);
-        m.value = in.get_u64("metric value");
-        m.count = in.get_u64("metric count");
-        m.p50_ns = in.get_u64("metric p50");
-        m.p95_ns = in.get_u64("metric p95");
-        m.p99_ns = in.get_u64("metric p99");
-        for (std::uint64_t& bucket : m.hist.counts) {
-            bucket = in.get_u64("metric bucket");
-        }
-        metrics.push_back(std::move(m));
-    }
-    in.finish();
-    return metrics;
+    return decode<std::vector<obs::metric>>(payload, "metrics",
+                                            metrics_fields);
 }
-
-// --- Events -----------------------------------------------------------------
-
-namespace {
-
-// The server-side ring is bounded (service_options::event_ring_capacity,
-// default 1024); a count past this is garbage framing, not a big ring.
-constexpr std::uint32_t max_event_entries = 1u << 20;
-
-} // namespace
 
 std::string encode_events(const std::vector<obs::request_event>& events) {
-    std::string out;
-    out.reserve(4 + events.size() * 88);
-    put_u32(out, static_cast<std::uint32_t>(events.size()));
-    for (const obs::request_event& e : events) {
-        put_u64(out, e.trace_hi);
-        put_u64(out, e.trace_lo);
-        put_u64(out, e.correlation);
-        put_u64(out, e.key_hi);
-        put_u64(out, e.key_lo);
-        put_u64(out, e.node);
-        put_u8(out, e.tier);
-        put_u8(out, static_cast<std::uint8_t>(e.disposition));
-        put_u32(out, e.retries);
-        put_u64(out, e.start_ns);
-        put_u64(out, e.queue_ns);
-        put_u64(out, e.run_ns);
-        put_u64(out, e.total_ns);
-    }
-    return out;
+    return encode(events, events_fields);
 }
-
 std::vector<obs::request_event> decode_events(std::string_view payload) {
-    cursor in{payload, "events"};
-    const std::uint32_t count = in.get_u32("event count");
-    if (count > max_event_entries) {
-        throw wire_error{"events payload: implausible event count " +
-                         std::to_string(count) + " at byte offset " +
-                         std::to_string(frame_header_bytes)};
-    }
-    std::vector<obs::request_event> events;
-    events.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        obs::request_event e;
-        e.trace_hi = in.get_u64("event trace_hi");
-        e.trace_lo = in.get_u64("event trace_lo");
-        e.correlation = in.get_u64("event correlation");
-        e.key_hi = in.get_u64("event key_hi");
-        e.key_lo = in.get_u64("event key_lo");
-        e.node = in.get_u64("event node");
-        const std::uint8_t tier = in.get_u8("event tier");
-        if (tier > 1) {
-            throw wire_error{"events payload: unknown tier " +
-                             std::to_string(tier) + " at byte offset " +
-                             std::to_string(in.offset() - 1)};
-        }
-        e.tier = tier;
-        const std::uint8_t disposition = in.get_u8("event disposition");
-        if (disposition >
-            static_cast<std::uint8_t>(obs::max_event_disposition)) {
-            throw wire_error{"events payload: unknown disposition " +
-                             std::to_string(disposition) +
-                             " at byte offset " +
-                             std::to_string(in.offset() - 1)};
-        }
-        e.disposition = static_cast<obs::event_disposition>(disposition);
-        e.retries = in.get_u32("event retries");
-        e.start_ns = in.get_u64("event start_ns");
-        e.queue_ns = in.get_u64("event queue_ns");
-        e.run_ns = in.get_u64("event run_ns");
-        e.total_ns = in.get_u64("event total_ns");
-        events.push_back(e);
-    }
-    in.finish();
-    return events;
+    return decode<std::vector<obs::request_event>>(payload, "events",
+                                                   events_fields);
 }
-
-// --- Cache handoff ----------------------------------------------------------
 
 std::string encode_cache_load(serve::load_mode mode,
                               std::string_view cache_file) {
-    std::string out;
-    out.reserve(1 + 8 + cache_file.size());
-    put_u8(out, static_cast<std::uint8_t>(mode));
-    // Length-prefixed so the payload is self-delimiting like every other
-    // codec: a truncated or padded image is rejected here, before the
-    // cache's own loader ever sees the bytes.
-    put_u64(out, cache_file.size());
-    out.append(cache_file);
-    return out;
+    // A view, so the image is not copied before it is encoded.
+    const struct {
+        serve::load_mode mode;
+        std::string_view cache_file;
+    } view{mode, cache_file};
+    return encode(view, cache_load_fields);
 }
-
 cache_load_message decode_cache_load(std::string_view payload) {
-    cursor in{payload, "cache_load"};
-    cache_load_message message;
-    const std::uint8_t mode = in.get_u8("load mode");
-    if (mode > 1) {
-        throw wire_error{"cache_load payload: unknown load mode " +
-                         std::to_string(mode) + " at byte offset " +
-                         std::to_string(in.offset() - 1)};
-    }
-    message.mode = static_cast<serve::load_mode>(mode);
-    const std::uint64_t length = in.get_u64("cache image length");
-    if (in.remaining() < length) {
-        throw wire_error{
-            "truncated cache_load payload: image declares " +
-            std::to_string(length) + " bytes at byte offset " +
-            std::to_string(in.offset()) + " but the payload ends at byte "
-            "offset " +
-            std::to_string(in.offset() + in.remaining())};
-    }
-    // The image itself is validated entry-by-entry by the cache's own
-    // hardened "DSCF" loader.
-    message.cache_file = std::string{in.rest().substr(0, length)};
-    in.advance(message.cache_file.size());
-    in.finish();
-    return message;
+    return decode<cache_load_message>(payload, "cache_load",
+                                      cache_load_fields);
 }
 
 std::string encode_load_report(const serve::cache_load_report& report) {
-    std::string out;
-    put_u64(out, report.loaded);
-    put_u64(out, report.skipped);
-    put_u8(out, report.salvaged ? 1 : 0);
-    put_u64(out, report.salvaged_at);
-    put_u8(out, report.checksum_ok ? 1 : 0);
-    return out;
+    return encode(report, load_report_fields);
 }
-
 serve::cache_load_report decode_load_report(std::string_view payload) {
-    cursor in{payload, "cache_loaded"};
-    serve::cache_load_report report;
-    report.loaded = static_cast<std::size_t>(in.get_u64("loaded"));
-    report.skipped = static_cast<std::size_t>(in.get_u64("skipped"));
-    report.salvaged = in.get_bool("salvaged");
-    report.salvaged_at = in.get_u64("salvaged_at");
-    report.checksum_ok = in.get_bool("checksum_ok");
-    in.finish();
-    return report;
+    return decode<serve::cache_load_report>(payload, "cache_loaded",
+                                            load_report_fields);
 }
 
 } // namespace dew::net

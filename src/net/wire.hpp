@@ -10,14 +10,17 @@
 //   payload_bytes u64      bytes following this field (<= max_frame_payload)
 //   payload       payload_bytes bytes, layout per message type (wire.cpp)
 //
-// The decode path follows the hardened "DSWR"/"DSCF" discipline of
-// dew::result_io and serve::cache: a truncated buffer, a bad magic or
-// version, an unknown type, an implausible field, or a payload whose size
-// disagrees with its decoded structure — short *or* over-long — throws
-// net::wire_error naming the byte offset of the fault (payload offsets are
+// Each payload layout is one field list in wire.cpp that both the encoder
+// and the decoder walk, so the two cannot disagree.  The decode path
+// follows the hardened "DSWR"/"DSCF" discipline of dew::result_io and
+// serve::cache: a truncated buffer, a bad magic or version, an unknown
+// type, an implausible field, or a payload whose size disagrees with its
+// decoded structure — short *or* over-long — throws net::wire_error naming
+// the field and the byte offset of the fault (payload offsets are
 // frame-relative: payload byte 0 is frame byte 25).  A decoder never
-// returns a partial message.  The test suite truncates every message type
-// at every byte cut point and expects a precise reject at each.
+// returns a partial message.  The test suite cuts every golden payload
+// (tests/net/golden_frames.hpp) at every byte and expects a precise reject
+// at each.
 //
 // Fault mapping: a request that fails server-side is answered by an `error`
 // frame whose fault_code round-trips the exception's type, so
@@ -63,45 +66,39 @@ inline constexpr std::size_t frame_header_bytes = 4 + 4 + 1 + 8 + 8;
 // declared size above it is certainly garbage framing, not a big message.
 inline constexpr std::uint64_t max_frame_payload = std::uint64_t{1} << 30;
 
-// One entry per line: dewlint's wire-completeness rule reads the per-entry
-// codec annotation (`wire <codec>` names the encode_/decode_ pair, `none`
-// an empty payload, `raw` an opaque byte payload) and fails the build
-// unless the codec exists, the entry has a to_string case, and the decoder
-// keeps its cut-point truncation coverage in tests/net/wire_test.cpp.
-// dewlint: wire-enum
 enum class message_type : std::uint8_t {
     // Requests (client -> server), interleaved with their responses
     // (server -> client).
-    ping = 0,            // dewlint: wire none
-    pong = 1,            // dewlint: wire none
-    register_trace = 2,  // dewlint: wire records
-    register_ok = 3,     // dewlint: wire digest
-    has_trace = 4,       // dewlint: wire digest
-    has_ok = 5,          // dewlint: wire flag
-    submit = 6,          // dewlint: wire submit
-    result = 7,          // dewlint: wire result
-    cancel = 8,          // dewlint: wire cancel_target
-    cancel_ok = 9,       // dewlint: wire flag
+    ping = 0,
+    pong = 1,
+    register_trace = 2,
+    register_ok = 3,
+    has_trace = 4,
+    has_ok = 5,
+    submit = 6,
+    result = 7,
+    cancel = 8,
+    cancel_ok = 9,
     // 10 and 11 are retired (a counters request/reply pair; the service's
     // counters travel in metrics_ok): never reused, rejected as unknown.
-    cache_save = 12,     // dewlint: wire none
-    cache_contents = 13, // dewlint: wire raw
-    cache_load = 14,     // dewlint: wire cache_load
-    cache_loaded = 15,   // dewlint: wire load_report
-    pause = 16,          // dewlint: wire none
-    resume = 17,         // dewlint: wire none
+    cache_save = 12,
+    cache_contents = 13,
+    cache_load = 14,
+    cache_loaded = 15,
+    pause = 16,
+    resume = 17,
     // Ack of pause/resume.
-    ok = 18,             // dewlint: wire none
+    ok = 18,
     // Failure response to any request; payload = error_message.
-    error = 19,          // dewlint: wire error
+    error = 19,
     // Observability: the server's obs::registry snapshot (counters,
     // gauges, stage-latency percentiles) in stable name order.
-    get_metrics = 20,    // dewlint: wire none
-    metrics_ok = 21,     // dewlint: wire metrics
+    get_metrics = 20,
+    metrics_ok = 21,
     // Observability: the server's wide per-request event ring (one
     // structured record per settled request), oldest first.
-    get_events = 22,     // dewlint: wire none
-    events_ok = 23,      // dewlint: wire events
+    get_events = 22,
+    events_ok = 23,
 };
 
 // "unknown" for every byte that names no entry (parse_header's test).

@@ -10,12 +10,10 @@
 
 #include "baseline/dinero_sim.hpp"
 #include "dew/simulator.hpp"
-#include "dew/split.hpp"
 #include "lru/forest_sim.hpp"
 #include "lru/janapsatya_sim.hpp"
 #include "lru/stack_sim.hpp"
 #include "trace/mediabench.hpp"
-#include "trace/source.hpp"
 
 namespace {
 
@@ -149,49 +147,6 @@ TEST(ChunkedEquivalence, DineroSim) {
         EXPECT_EQ(chunked.stats().tag_comparisons,
                   whole.stats().tag_comparisons);
     }
-}
-
-TEST(ChunkedEquivalence, SplitSimulator) {
-    // The split I/D driver follows the same uniform incremental contract as
-    // every single-cache simulator: chunked feeding (and draining a
-    // trace::source) is bit-identical to one whole-trace simulate() on both
-    // sides, including the routing counts.
-    const trace::mem_trace& trace = workload();
-    const split_config icache{7, 2, 32};
-    const split_config dcache{7, 4, 16};
-
-    split_simulator whole{icache, dcache};
-    whole.simulate(trace);
-
-    auto expect_sides_equal = [&](const split_simulator& actual) {
-        EXPECT_EQ(actual.ifetches(), whole.ifetches());
-        EXPECT_EQ(actual.data_accesses(), whole.data_accesses());
-        for (unsigned level = 0; level <= 7; ++level) {
-            EXPECT_EQ(actual.icache_result().misses(level, 2),
-                      whole.icache_result().misses(level, 2))
-                << level;
-            EXPECT_EQ(actual.dcache_result().misses(level, 4),
-                      whole.dcache_result().misses(level, 4))
-                << level;
-            EXPECT_EQ(actual.dcache_result().misses(level, 1),
-                      whole.dcache_result().misses(level, 1))
-                << level;
-        }
-        EXPECT_EQ(actual.icache().counters().tag_comparisons,
-                  whole.icache().counters().tag_comparisons);
-    };
-
-    for (const std::size_t chunk : chunk_sizes) {
-        split_simulator chunked{icache, dcache};
-        feed_in_chunks(chunked, trace, chunk);
-        expect_sides_equal(chunked);
-    }
-
-    // Draining a source in small pulls is the same contract end to end.
-    split_simulator streamed{icache, dcache};
-    trace::span_source src{{trace.data(), trace.size()}};
-    EXPECT_EQ(streamed.simulate(src, 777), trace.size());
-    expect_sides_equal(streamed);
 }
 
 TEST(ChunkedEquivalence, LruSimulators) {

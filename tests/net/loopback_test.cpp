@@ -259,30 +259,49 @@ TEST(Loopback, MalformedPayloadUnderValidHeaderKeepsConnectionServing) {
     server srv{{}};
     socket_fd raw = connect_to("127.0.0.1", srv.port());
 
-    // Well-framed has_trace whose payload is 3 bytes instead of 16.
-    const std::string bad =
-        encode_frame(message_type::has_trace, 77, "abc");
-    write_all(raw, bad.data(), bad.size());
+    // Well-framed has_trace whose payload is 3 bytes instead of 16, and a
+    // well-framed register_trace whose record count's 9-byte product wraps
+    // to the one byte that follows (9 x 0x8E38E38E38E38E39 = 1 mod 2^64).
+    std::string wrapped;
+    for (std::size_t i = 0; i < 8; ++i) {
+        wrapped.push_back(static_cast<char>(0x8E38E38E38E38E39ull >> (8 * i)));
+    }
+    wrapped.push_back('\0');
+    const std::pair<message_type, std::string> bad_payloads[] = {
+        {message_type::has_trace, "abc"},
+        {message_type::register_trace, wrapped}};
 
-    std::string header_bytes(frame_header_bytes, '\0');
-    ASSERT_EQ(read_exact(raw, header_bytes.data(), header_bytes.size()),
-              header_bytes.size());
-    frame_header header = parse_header(header_bytes);
-    EXPECT_EQ(header.type, message_type::error);
-    EXPECT_EQ(header.id, 77u); // the id is trustworthy; echo it
-    std::string payload(header.payload_bytes, '\0');
-    ASSERT_EQ(read_exact(raw, payload.data(), payload.size()),
-              payload.size());
-    EXPECT_EQ(decode_error(payload).code, fault_code::protocol);
+    std::uint64_t id = 77;
+    for (const auto& [type, payload] : bad_payloads) {
+        SCOPED_TRACE(to_string(type));
+        const std::string bad = encode_frame(type, id, payload);
+        write_all(raw, bad.data(), bad.size());
 
-    // Same connection, next request: still served.
-    const std::string ping_bytes = encode_frame(message_type::ping, 78, {});
-    write_all(raw, ping_bytes.data(), ping_bytes.size());
-    ASSERT_EQ(read_exact(raw, header_bytes.data(), header_bytes.size()),
-              header_bytes.size());
-    header = parse_header(header_bytes);
-    EXPECT_EQ(header.type, message_type::pong);
-    EXPECT_EQ(header.id, 78u);
+        std::string header_bytes(frame_header_bytes, '\0');
+        ASSERT_EQ(read_exact(raw, header_bytes.data(), header_bytes.size()),
+                  header_bytes.size());
+        frame_header header = parse_header(header_bytes);
+        EXPECT_EQ(header.type, message_type::error);
+        EXPECT_EQ(header.id, id); // the id is trustworthy; echo it
+        std::string error_payload(header.payload_bytes, '\0');
+        ASSERT_EQ(read_exact(raw, error_payload.data(), error_payload.size()),
+                  error_payload.size());
+        const error_message error = decode_error(error_payload);
+        EXPECT_EQ(error.code, fault_code::protocol);
+        EXPECT_NE(error.what.find("byte offset"), std::string::npos)
+            << error.what;
+
+        // Same connection, next request: still served.
+        const std::string ping_bytes =
+            encode_frame(message_type::ping, id + 1, {});
+        write_all(raw, ping_bytes.data(), ping_bytes.size());
+        ASSERT_EQ(read_exact(raw, header_bytes.data(), header_bytes.size()),
+                  header_bytes.size());
+        header = parse_header(header_bytes);
+        EXPECT_EQ(header.type, message_type::pong);
+        EXPECT_EQ(header.id, id + 1);
+        id += 2;
+    }
 }
 
 TEST(Loopback, CacheImageHandsOffBetweenServers) {

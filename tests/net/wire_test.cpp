@@ -1,11 +1,13 @@
-// The "DSNW" wire codec: every message type round-trips bit-exactly, and a
-// frame or payload truncated at EVERY byte cut point — or extended with
-// trailing bytes — is rejected with a byte-offset-naming wire_error, the
-// same hardened-reader contract as the "DSWR"/"DSCF" codecs.
+// The "DSNW" wire codec: every message type round-trips bit-exactly and
+// encodes to its golden frame, and every golden payload — decoded, cut at
+// EVERY byte, extended with a trailing byte or corrupted byte by byte — is
+// re-encoded byte for byte or rejected with a byte-offset-naming
+// wire_error, the same hardened-reader contract as the "DSWR"/"DSCF"
+// codecs.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -478,61 +480,123 @@ TEST(Wire, FaultMappingRoundTripsExceptionTypes) {
                  std::runtime_error);
 }
 
-// --- Malformed frames: every byte cut point ----------------------------------
+// --- Golden payloads through every decoder ----------------------------------
 
-// Truncates `payload` at every cut point and expects the decoder to throw a
-// wire_error naming a byte offset; then appends one byte and expects the
-// trailing-byte reject.
-void expect_hardened(const std::string& name, const std::string& payload,
-                     const std::function<void(std::string_view)>& decode) {
-    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
-        SCOPED_TRACE(name + " cut at " + std::to_string(cut));
+std::string from_hex(std::string_view hex) {
+    std::string out;
+    for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+        out.push_back(static_cast<char>(
+            std::stoi(std::string{hex.substr(i, 2)}, nullptr, 16)));
+    }
+    return out;
+}
+
+// Decodes `payload` as a `type` payload and encodes the result again;
+// nullopt for a type this table has no typed decoder for.
+std::optional<std::string> reencode(message_type type,
+                                    std::string_view payload) {
+    switch (type) {
+    case message_type::register_trace:
+        return encode_records(decode_records(payload));
+    case message_type::register_ok:
+    case message_type::has_trace:
+        return encode_digest(decode_digest(payload));
+    case message_type::has_ok:
+    case message_type::cancel_ok:
+        return encode_flag(decode_flag(payload));
+    case message_type::submit:
+        return encode_submit(decode_submit(payload));
+    case message_type::result:
+        return encode_result(decode_result(payload));
+    case message_type::cancel:
+        return encode_cancel_target(decode_cancel_target(payload));
+    case message_type::cache_load: {
+        const cache_load_message message = decode_cache_load(payload);
+        return encode_cache_load(message.mode, message.cache_file);
+    }
+    case message_type::cache_loaded:
+        return encode_load_report(decode_load_report(payload));
+    case message_type::error:
+        return encode_error(decode_error(payload));
+    case message_type::metrics_ok:
+        return encode_metrics(decode_metrics(payload));
+    case message_type::events_ok:
+        return encode_events(decode_events(payload));
+    default:
+        return std::nullopt;
+    }
+}
+
+// The payload of every golden frame that carries one, except
+// cache_contents: an opaque "DSCF" image, which serve.cache_test checks.
+std::vector<std::pair<message_type, std::string>> golden_payloads() {
+    std::vector<std::pair<message_type, std::string>> payloads;
+    for (const golden::frame_bytes& golden_frame : golden::frames) {
+        frame parsed = parse_frame(from_hex(golden_frame.hex));
+        if (!parsed.payload.empty() &&
+            parsed.header.type != message_type::cache_contents) {
+            payloads.emplace_back(parsed.header.type,
+                                  std::move(parsed.payload));
+        }
+    }
+    return payloads;
+}
+
+TEST(Wire, EveryGoldenPayloadReencodesByteForByte) {
+    const auto payloads = golden_payloads();
+    ASSERT_FALSE(payloads.empty());
+    for (const auto& [type, payload] : payloads) {
+        SCOPED_TRACE(to_string(type));
+        const std::optional<std::string> again = reencode(type, payload);
+        ASSERT_TRUE(again.has_value())
+            << "a live type with a payload has no decoder in this test";
+        EXPECT_EQ(to_hex(*again), to_hex(payload));
+    }
+}
+
+// Every cut of every golden payload, and the payload with one trailing
+// byte, is rejected with a wire_error naming a byte offset.
+TEST(Wire, EveryMessagePayloadRejectsEveryTruncation) {
+    const auto expect_rejected = [](message_type type,
+                                    std::string_view bytes) {
         try {
-            decode(payload.substr(0, cut));
-            FAIL() << "accepted a truncated payload";
+            (void)reencode(type, bytes);
+            ADD_FAILURE() << "accepted " << bytes.size() << " bytes";
         } catch (const wire_error& fault) {
-            EXPECT_NE(std::string{fault.what()}.find("byte"),
+            EXPECT_NE(std::string{fault.what()}.find("byte offset"),
                       std::string::npos)
                 << fault.what();
         }
+    };
+    for (const auto& [type, payload] : golden_payloads()) {
+        SCOPED_TRACE(to_string(type));
+        for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+            expect_rejected(type, std::string_view{payload}.substr(0, cut));
+        }
+        expect_rejected(type, payload + '\0');
     }
-    SCOPED_TRACE(name + " with a trailing byte");
-    EXPECT_THROW(decode(payload + '\0'), wire_error);
 }
 
-TEST(Wire, EveryMessagePayloadRejectsEveryTruncation) {
-    expect_hardened("error",
-                    encode_error({fault_code::timeout, "deadline passed"}),
-                    [](std::string_view b) { (void)decode_error(b); });
-    expect_hardened("register_trace",
-                    encode_records(trace::make_mediabench_trace(
-                        trace::mediabench_app::cjpeg, 3)),
-                    [](std::string_view b) { (void)decode_records(b); });
-    expect_hardened("digest", encode_digest(sample_digest()),
-                    [](std::string_view b) { (void)decode_digest(b); });
-    expect_hardened("flag", encode_flag(true),
-                    [](std::string_view b) { (void)decode_flag(b); });
-    expect_hardened("cancel", encode_cancel_target(7),
-                    [](std::string_view b) { (void)decode_cancel_target(b); });
-    expect_hardened("submit",
-                    encode_submit({sample_digest(), sample_request()}),
-                    [](std::string_view b) { (void)decode_submit(b); });
-    expect_hardened("metrics", encode_metrics(sample_metrics()),
-                    [](std::string_view b) { (void)decode_metrics(b); });
-    expect_hardened("cache_load",
-                    encode_cache_load(serve::load_mode::salvage, "dscf-image"),
-                    [](std::string_view b) { (void)decode_cache_load(b); });
-    expect_hardened("events", encode_events(sample_events()),
-                    [](std::string_view bytes) { (void)decode_events(bytes); });
-    expect_hardened("cache_loaded", encode_load_report({}),
-                    [](std::string_view b) { (void)decode_load_report(b); });
-}
-
-TEST(Wire, ResultPayloadRejectsEveryTruncation) {
-    // The heavyweight one — sweep record and estimate block included, so
-    // cuts land inside the embedded "DSWR" record too.
-    expect_hardened("result", encode_result(sample_result(true, true)),
-                    [](std::string_view b) { (void)decode_result(b); });
+// Setting any byte of a golden payload to 0x00, 0xFF, 0x7F or 0x80 leaves
+// a payload the decoder either reads or rejects with wire_error — never
+// another exception.
+TEST(Wire, EveryGoldenPayloadSurvivesByteCorruption) {
+    for (const auto& [type, payload] : golden_payloads()) {
+        SCOPED_TRACE(to_string(type));
+        for (std::size_t at = 0; at < payload.size(); ++at) {
+            for (const unsigned char value : {0x00, 0xFF, 0x7F, 0x80}) {
+                std::string corrupt = payload;
+                corrupt[at] = static_cast<char>(value);
+                try {
+                    (void)reencode(type, corrupt);
+                } catch (const wire_error&) {
+                } catch (const std::exception& fault) {
+                    ADD_FAILURE() << "byte " << at << " = " << int{value}
+                                  << ": " << fault.what();
+                }
+            }
+        }
+    }
 }
 
 TEST(Wire, FrameRejectsEveryHeaderTruncationAndOverrun) {
@@ -606,6 +670,23 @@ TEST(Wire, PayloadValidationNamesImplausibleFields) {
     std::string bad_fault = encode_error({fault_code::runtime, "x"});
     bad_fault[0] = 100;
     EXPECT_THROW((void)decode_error(bad_fault), wire_error);
+
+    // A record count whose 9-byte product wraps to the one byte that
+    // follows (9 x 0x8E38E38E38E38E39 = 1 mod 2^64): rejected before
+    // anything is reserved, naming the count and its offset.
+    std::string wrapped;
+    for (std::size_t i = 0; i < 8; ++i) {
+        wrapped.push_back(static_cast<char>(0x8E38E38E38E38E39ull >> (8 * i)));
+    }
+    wrapped.push_back('\0');
+    try {
+        (void)decode_records(wrapped);
+        ADD_FAILURE() << "accepted a wrapped record count";
+    } catch (const wire_error& fault) {
+        const std::string what = fault.what();
+        EXPECT_NE(what.find("record count"), std::string::npos) << what;
+        EXPECT_NE(what.find("byte offset 25"), std::string::npos) << what;
+    }
 }
 
 } // namespace

@@ -94,21 +94,6 @@ TEST(Dewlint, BadFixtureFiresIdentityCompleteness) {
                     "field 'both' of query is both hashed and"));
 }
 
-TEST(Dewlint, BadFixtureFiresWireCompleteness) {
-    const auto findings =
-        dewlint::analyze_project(fixture("bad"), {"wire-completeness"});
-    EXPECT_TRUE(has(findings, "wire-completeness",
-                    "'stray' has no 'dewlint: wire <codec>' annotation"))
-        << render(findings);
-    EXPECT_TRUE(has(findings, "wire-completeness",
-                    "'ghost' is never referenced as msg::ghost"));
-    EXPECT_TRUE(has(findings, "wire-completeness", "no encode_phantom"));
-    EXPECT_TRUE(has(findings, "wire-completeness", "no decode_phantom"));
-    EXPECT_TRUE(has(findings, "wire-completeness",
-                    "decode_soft (payload of 'quiet') has no "
-                    "expect_hardened"));
-}
-
 TEST(Dewlint, BadFixtureFiresHotLoop) {
     const auto findings = dewlint::analyze_project(fixture("bad"), {"hot-loop"});
     EXPECT_TRUE(has(findings, "hot-loop",
@@ -165,8 +150,8 @@ TEST(Dewlint, DeletingAHashedFieldFromKeyCppFails) {
     dewlint::project intact;
     intact.root = root;
     for (const std::string& rel : rel_paths) {
-        intact.files.push_back(dewlint::load_source(
-            rel, slurp(root + "/" + rel), dewlint::file_category::source));
+        intact.files.push_back(
+            dewlint::load_source(rel, slurp(root + "/" + rel)));
     }
     const auto before = dewlint::analyze(intact, {"identity-completeness"});
     ASSERT_TRUE(before.empty()) << render(before);
@@ -182,8 +167,7 @@ TEST(Dewlint, DeletingAHashedFieldFromKeyCppFails) {
                    "spelling; update this test alongside it";
             text.erase(at, std::string{"fold(normal.warmup_records);"}.size());
         }
-        mutated.files.push_back(dewlint::load_source(
-            rel, std::move(text), dewlint::file_category::source));
+        mutated.files.push_back(dewlint::load_source(rel, std::move(text)));
     }
     const auto after = dewlint::analyze(mutated, {"identity-completeness"});
     EXPECT_TRUE(has(after, "identity-completeness",

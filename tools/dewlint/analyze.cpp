@@ -79,11 +79,6 @@ void parse_comment(const comment& com, std::vector<annotation>& out) {
                     if (!a.reason.empty()) { a.reason.push_back(' '); }
                     a.reason += words[k];
                 }
-            } else if (words[0] == "wire-enum") {
-                a.kind = annotation_kind::wire_enum;
-            } else if (words[0] == "wire") {
-                a.kind = annotation_kind::wire;
-                a.args.assign(words.begin() + 1, words.end());
             } else if (words[0] == "metric-table") {
                 a.kind = annotation_kind::metric_table;
             } else if (words[0] == "hot-loop") {
@@ -113,12 +108,10 @@ void parse_comment(const comment& com, std::vector<annotation>& out) {
 
 } // namespace
 
-source_file load_source(std::string rel_path, std::string_view text,
-                        file_category category) {
+source_file load_source(std::string rel_path, std::string_view text) {
     source_file file;
     file.rel_path = std::move(rel_path);
     file.path = file.rel_path;
-    file.category = category;
     lex_result lexed = lex(text);
     file.tokens = std::move(lexed.tokens);
     file.comments = std::move(lexed.comments);
@@ -147,33 +140,21 @@ project load_project(const std::string& root) {
         throw std::runtime_error("dewlint: no src/ directory under " + root);
     }
 
-    auto add_tree = [&](const fs::path& base, file_category category,
-                        auto&& want) {
-        if (!fs::is_directory(base)) { return; }
-        std::vector<fs::path> paths;
-        for (const auto& entry : fs::recursive_directory_iterator(base)) {
-            if (entry.is_regular_file() && want(entry.path())) {
-                paths.push_back(entry.path());
-            }
+    std::vector<fs::path> paths;
+    for (const auto& entry : fs::recursive_directory_iterator(src)) {
+        const std::string ext = entry.path().extension().string();
+        if (entry.is_regular_file() &&
+            (ext == ".hpp" || ext == ".cpp" || ext == ".h" || ext == ".cc")) {
+            paths.push_back(entry.path());
         }
-        std::sort(paths.begin(), paths.end());
-        for (const fs::path& path : paths) {
-            source_file file = load_source(
-                fs::relative(path, root).generic_string(), read_file(path),
-                category);
-            file.path = path.generic_string();
-            proj.files.push_back(std::move(file));
-        }
-    };
-
-    add_tree(src, file_category::source, [](const fs::path& p) {
-        const std::string ext = p.extension().string();
-        return ext == ".hpp" || ext == ".cpp" || ext == ".h" || ext == ".cc";
-    });
-    add_tree(fs::path(root) / "tests", file_category::test,
-             [](const fs::path& p) {
-                 return p.filename().string().ends_with("_test.cpp");
-             });
+    }
+    std::sort(paths.begin(), paths.end());
+    for (const fs::path& path : paths) {
+        source_file file = load_source(
+            fs::relative(path, root).generic_string(), read_file(path));
+        file.path = path.generic_string();
+        proj.files.push_back(std::move(file));
+    }
     return proj;
 }
 

@@ -20,10 +20,10 @@ namespace dewlint {
 // Lexes one in-memory file and mines its annotations.  Exposed for the
 // fixture tests; analyze_project() uses it for every file on disk.
 [[nodiscard]] source_file
-load_source(std::string rel_path, std::string_view text, file_category category);
+load_source(std::string rel_path, std::string_view text);
 
-// Loads <root>/src/**/*.{hpp,cpp} as sources and <root>/tests/**/*_test.cpp
-// as tests.  Throws std::runtime_error when root/src does not exist.
+// Loads <root>/src/**/*.{hpp,cpp,h,cc}.  Throws std::runtime_error when
+// root/src does not exist.
 [[nodiscard]] project load_project(const std::string& root);
 
 // ------------------------------------------------------------------ rules

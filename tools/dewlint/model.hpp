@@ -8,8 +8,6 @@
 //   dewlint: identity-struct                next struct is identity input
 //   dewlint: identity-hash                  next function is the fold
 //   dewlint: identity-exempt <field> <why>  field deliberately not hashed
-//   dewlint: wire-enum                      next enum class is message_type
-//   dewlint: wire <codec>|none|raw          per enum entry payload codec
 //   dewlint: metric-table                   next braced table names metrics
 //   dewlint: hot-loop begin <name>          start of an allocation-free region
 //   dewlint: hot-loop end <name>            end of that region
@@ -31,8 +29,6 @@ enum class annotation_kind {
     identity_struct, // no args
     identity_hash,   // no args
     identity_exempt, // args: field, reason...
-    wire_enum,       // no args
-    wire,            // args: codec | none | raw
     metric_table,    // no args
     hot_loop,        // args: begin|end, region name
     allow,           // args: rule; reason required
@@ -45,12 +41,9 @@ struct annotation {
     std::string reason; // allow / identity-exempt justification text
 };
 
-enum class file_category { source, test };
-
 struct source_file {
     std::string path;     // absolute or root-relative path used in diagnostics
     std::string rel_path; // path relative to the project root
-    file_category category{file_category::source};
     std::vector<token> tokens;
     std::vector<comment> comments;
     std::vector<annotation> annotations;

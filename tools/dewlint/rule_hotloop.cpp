@@ -41,7 +41,6 @@ struct region {
 
 void hot_loop(const project& proj, std::vector<diagnostic>& out) {
     for (const source_file& file : proj.files) {
-        if (file.category != file_category::source) { continue; }
 
         std::vector<region> regions;
         std::vector<region> open;

@@ -141,7 +141,6 @@ void identity_completeness(const project& proj, std::vector<diagnostic>& out) {
     int hash_count = 0;
 
     for (const source_file& file : proj.files) {
-        if (file.category != file_category::source) { continue; }
         for (const annotation& a : file.annotations) {
             switch (a.kind) {
             case annotation_kind::identity_struct: {

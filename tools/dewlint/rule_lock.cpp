@@ -64,7 +64,6 @@ void collect_decls(const project& proj, decl_map& by_member,
                    std::map<std::string, long>& rank_by_name,
                    std::vector<diagnostic>& out) {
     for (const source_file& file : proj.files) {
-        if (file.category != file_category::source) { continue; }
         for (const annotation& a : file.annotations) {
             if (a.kind != annotation_kind::lock_order) { continue; }
             if (a.args.size() < 2) {
@@ -283,7 +282,6 @@ void lock_order(const project& proj, std::vector<diagnostic>& out) {
 
     std::map<std::string, std::set<std::string>> edges;
     for (const source_file& file : proj.files) {
-        if (file.category != file_category::source) { continue; }
         scan_acquisitions(file, by_member, edges, out);
     }
     check_cycles(edges, proj, out);

@@ -2,8 +2,7 @@
 // histogram name in src/ must appear in docs/OBSERVABILITY.md's metric
 // catalogue.  A series that is scrapeable but undocumented is invisible to
 // the person staring at a dashboard at 3am — this rule makes the doc a
-// build-enforced registry, the same way wire-completeness makes the
-// cut-point tests one.
+// build-enforced registry.
 //
 // Detection is anchored on the `metric_sample` type: a registry provider
 // is a function (or lambda) whose signature mentions it.  From each
@@ -84,7 +83,6 @@ void check_names(const source_file& file, std::size_t open,
 void metric_catalogue(const project& proj, std::vector<diagnostic>& out) {
     const std::string catalogue = read_catalogue(proj.root);
     for (const source_file& file : proj.files) {
-        if (file.category != file_category::source) { continue; }
         std::set<std::string> reported;
         for (const annotation& a : file.annotations) {
             if (a.kind != annotation_kind::metric_table) { continue; }

@@ -23,7 +23,6 @@ namespace {
 [[nodiscard]] std::set<std::string> thread_container_names(const project& proj) {
     std::set<std::string> names;
     for (const source_file& file : proj.files) {
-        if (file.category != file_category::source) { continue; }
         const auto& tokens = file.tokens;
         for (std::size_t i = 0; i + 7 < tokens.size(); ++i) {
             // std :: vector < std :: thread > NAME
@@ -119,7 +118,6 @@ void thread_hygiene(const project& proj, std::vector<diagnostic>& out) {
     const std::set<std::string> containers = thread_container_names(proj);
 
     for (const source_file& file : proj.files) {
-        if (file.category != file_category::source) { continue; }
         const auto& tokens = file.tokens;
         const std::set<std::string> bodies = thread_body_names(file);
 

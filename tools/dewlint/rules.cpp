@@ -10,8 +10,6 @@ const std::vector<rule>& all_rules() {
          "annotated mutex ranks must strictly increase per scope", &rules::lock_order},
         {"identity-completeness",
          "every request field is hashed or explicitly exempt", &rules::identity_completeness},
-        {"wire-completeness",
-         "every message type has codec, dispatch case and cut-point test", &rules::wire_completeness},
         {"hot-loop",
          "no allocation/IO/clock identifiers in marked hot regions", &rules::hot_loop},
         {"metric-catalogue",

@@ -9,7 +9,6 @@ namespace dewlint::rules {
 void thread_hygiene(const project& proj, std::vector<diagnostic>& out);
 void lock_order(const project& proj, std::vector<diagnostic>& out);
 void identity_completeness(const project& proj, std::vector<diagnostic>& out);
-void wire_completeness(const project& proj, std::vector<diagnostic>& out);
 void hot_loop(const project& proj, std::vector<diagnostic>& out);
 void metric_catalogue(const project& proj, std::vector<diagnostic>& out);
 
