@@ -26,18 +26,22 @@
 #include "common/contracts.hpp"
 #include "dew/counters.hpp"
 #include "dew/options.hpp"
-#include "dew/tree.hpp" // way_entry, node_header, node_ref, empty_wave
 #include "trace/record.hpp"
 
 namespace dew::bench::seed {
 
 using core::dew_counters;
 using core::dew_options;
-using core::empty_wave;
-using core::way_entry;
 
-// The seed's node header and node view, frozen here because the library's
-// own layout has since moved on (dense MRA plane + packed records).
+// The seed's tree types, frozen here rather than taken from dew/tree.hpp so
+// that no change to the library's trees can move this baseline.
+inline constexpr std::uint32_t empty_wave = ~std::uint32_t{0};
+
+struct way_entry {
+    std::uint64_t tag{cache::invalid_tag};
+    std::uint32_t wave{empty_wave};
+};
+
 struct node_header {
     std::uint64_t mra{cache::invalid_tag};
     std::uint32_t cursor{0};

@@ -1,7 +1,9 @@
 // Feature switches for DEW's optimisation properties (Section 3.2 of the
 // paper).  All switches default to on — that is DEW.  Turning one off keeps
 // the simulation exact (the test suite proves it) but costs comparisons,
-// which is precisely what Table 4 and the ablation bench measure.
+// which is precisely what Table 4 and the ablation bench measure.  They
+// shape the counted paper walk (dew_simulator) only: the fast lean walk
+// (fast_dew_simulator) reads none of them.
 #ifndef DEW_DEW_OPTIONS_HPP
 #define DEW_DEW_OPTIONS_HPP
 
@@ -11,8 +13,9 @@ namespace dew::core {
 
 // Part of the service's request identity via sweep_request::options —
 // dewlint's identity-completeness rule checks every field against
-// serve::fingerprint (each switch changes the walk, never the misses, but
-// Table-4 instrumentation differs, so they all must be folded).
+// serve::fingerprint.  Each switch changes the counted walk's work, never
+// a miss, and the fast walk ignores them all; but a counted request's
+// Table-4 counters differ, so they all must be folded.
 // dewlint: identity-struct
 struct dew_options {
     // Property 2: a request matching a node's MRA tag is a certified hit at

@@ -29,12 +29,23 @@
 //    library generalises the entry to a k-deep victim buffer
 //    (dew_options::mre_depth; k = 1 is the paper, bit-for-bit).
 //
-// Instrumentation is a compile-time policy (see dew/counters.hpp): the
-// class is templated on `full_counters` (exact Table-3/4 bookkeeping) or
-// `fast` (every counter update compiles to nothing).  Both produce
-// bit-identical miss counts; `dew_simulator` keeps the counted behaviour
-// the benches and ablations rely on, `fast_dew_simulator` is the
-// production hot path that run_sweep and the examples default to.
+// The instrumentation policy (see dew/counters.hpp) picks one of two walks.
+// Both produce bit-identical miss counts for every geometry, trace and
+// chunking (tests/dew/policy_equivalence_test.cpp).
+//  * The paper walk, under `full_counters` (`dew_simulator`): Algorithms 1
+//    and 2 with all four properties on dew_tree, counting every node visit
+//    and tag comparison.  It is the reference for Tables 3 and 4, the
+//    ablation bench and the tag-comparison metrics, and the only walk that
+//    reads dew_options.
+//  * The lean walk, under `fast` (`fast_dew_simulator`): the walk that
+//    run_sweep, the session, the service and the explorer run, on
+//    lean_tree.  At each level it probes the MRA tag (a match is the P2
+//    stop), searches the A contiguous tags on a direct-mapped miss, and
+//    inserts at the FIFO cursor on an A-way miss.  It keeps no wave
+//    pointers and no victim buffer: they save comparisons, but their
+//    bookkeeping costs more time than the searches they avoid
+//    (docs/PERF.md).  So it ignores use_mra_stop, use_wave, use_mre and
+//    mre_depth, which change the paper walk's work and never a miss.
 #ifndef DEW_DEW_SIMULATOR_HPP
 #define DEW_DEW_SIMULATOR_HPP
 
@@ -61,6 +72,8 @@ class basic_dew_simulator {
 public:
     // True when this instantiation maintains dew_counters on the hot path.
     static constexpr bool counted = Instrumentation::counted;
+    // The counted paper walk runs on dew_tree, the lean walk on lean_tree.
+    using tree_type = std::conditional_t<counted, dew_tree, lean_tree>;
 
     // Simulates set counts 2^0..2^max_level at associativities {1, assoc}
     // and block size block_size (bytes, power of two).
@@ -87,12 +100,8 @@ public:
     // touches 16-byte mem_access records again.
     void access_block(std::uint64_t block) {
         note_requests(1);
-        with_static_assoc(assoc_, [&](auto a) {
-            with_static_depth(mre_depth_, [&](auto d) {
-                with_static_options(options_, [&](auto o) {
-                    access_block_impl<a(), d(), o()>(block);
-                });
-            });
+        with_static_walk([&](auto a, auto d, auto o) {
+            access_block_impl<a(), d(), o()>(block);
         });
     }
     void simulate_blocks(std::span<const std::uint64_t> blocks);
@@ -115,7 +124,7 @@ public:
     [[nodiscard]] std::uint32_t associativity() const noexcept { return assoc_; }
     [[nodiscard]] std::uint32_t block_size() const noexcept { return block_size_; }
     [[nodiscard]] const dew_options& options() const noexcept { return options_; }
-    [[nodiscard]] const dew_tree& tree() const noexcept { return tree_; }
+    [[nodiscard]] const tree_type& tree() const noexcept { return tree_; }
 
     // Reset the tree and all counters to the cold state.
     void reset();
@@ -130,13 +139,27 @@ private:
     // probe_victims() returns this when `block` is in no buffer slot.
     static constexpr std::uint32_t no_victim_match = ~std::uint32_t{0};
 
-    DEW_NOINLINE static void validate_construction(
+    // Runs first in the constructor, so misuse throws before anything is
+    // allocated.  Both policies accept the same arguments, although only
+    // the paper walk reads the options.
+    DEW_NOINLINE static unsigned validated_max_level(
         unsigned max_level, std::uint32_t assoc, std::uint32_t block_size,
         const dew_options& options) {
         DEW_EXPECTS(max_level < 32);
         DEW_EXPECTS(is_pow2(assoc));
         DEW_EXPECTS(is_pow2(block_size));
         DEW_EXPECTS(!options.use_mre || options.mre_depth >= 1);
+        return max_level;
+    }
+
+    [[nodiscard]] static tree_type make_tree(unsigned max_level,
+                                             std::uint32_t assoc,
+                                             const dew_options& options) {
+        if constexpr (counted) {
+            return dew_tree{max_level, assoc, options.effective_mre_depth()};
+        } else {
+            return lean_tree{max_level, assoc};
+        }
     }
 
     // Associativity is a loop bound in the search and a mask in the FIFO
@@ -183,7 +206,25 @@ private:
         return f(std::false_type{});
     }
 
-    // One full tree walk for one block number (Algorithms 1 and 2).
+    // Calls f(assoc, depth, options) with the walk's compile-time shape,
+    // resolved once per call.  Only the paper walk reads the depth and the
+    // options; the lean walk is dispatched on associativity alone.
+    template <class F>
+    void with_static_walk(F&& f) {
+        with_static_assoc(assoc_, [&](auto a) {
+            if constexpr (counted) {
+                with_static_depth(mre_depth_, [&](auto d) {
+                    with_static_options(options_,
+                                        [&](auto o) { f(a, d, o); });
+                });
+            } else {
+                f(a, std::integral_constant<std::uint32_t, runtime_depth>{},
+                  std::false_type{});
+            }
+        });
+    }
+
+    // One walk for one block number: the paper walk or the lean walk.
     // Force-inlined into the simulate loops: as a standalone call the walk
     // reloads members (options, tree base, stride, counters) per access;
     // inlined, they are hoisted into registers across the whole trace —
@@ -192,7 +233,23 @@ private:
     // specialisations.
     template <std::uint32_t StaticAssoc, std::uint32_t StaticDepth,
               bool AllOpts>
-    DEW_ALWAYS_INLINE void access_block_impl(std::uint64_t block);
+    DEW_ALWAYS_INLINE void access_block_impl(std::uint64_t block) {
+        if constexpr (counted) {
+            paper_walk<StaticAssoc, StaticDepth, AllOpts>(block);
+        } else {
+            lean_walk<StaticAssoc>(block);
+        }
+    }
+
+    // Algorithms 1 and 2 as published, counting every node visit and tag
+    // comparison (full_counters only).
+    template <std::uint32_t StaticAssoc, std::uint32_t StaticDepth,
+              bool AllOpts>
+    DEW_ALWAYS_INLINE void paper_walk(std::uint64_t block);
+
+    // MRA stop, contiguous tag search, FIFO insert (fast only).
+    template <std::uint32_t StaticAssoc>
+    DEW_ALWAYS_INLINE void lean_walk(std::uint64_t block);
 
     // The whole-stream loop of one static-assoc specialisation.  noinline
     // keeps each specialisation a compact standalone function.
@@ -224,7 +281,7 @@ private:
     // dewlint: hot-loop end dew-stream
 
     // Scans the node's victim buffer for `block` (Property 4, generalised
-    // to mre_depth entries), counting comparisons under `full_counters`.
+    // to mre_depth entries), counting comparisons.
     template <std::uint32_t StaticDepth>
     DEW_ALWAYS_INLINE std::uint32_t probe_victims(node_ref node, std::uint64_t block);
 
@@ -246,7 +303,7 @@ private:
     // re-derive it.
     std::uint32_t mre_depth_;
     dew_options options_;
-    dew_tree tree_;
+    tree_type tree_;
     // Empty under the `fast` policy; [[no_unique_address]] keeps it free.
     [[no_unique_address]] Instrumentation instrumentation_{};
     std::uint64_t requests_{0};
@@ -256,8 +313,9 @@ private:
     std::vector<std::uint64_t> misses_dm_;
 };
 
-// The counted simulator: the seed-compatible default every test and bench
-// table uses.  `fast` is the zero-overhead production configuration.
+// The counted simulator runs the paper walk: the seed-compatible default
+// every test and bench table uses.  `fast` runs the lean walk, the
+// production configuration.
 using dew_simulator = basic_dew_simulator<full_counters>;
 using fast_dew_simulator = basic_dew_simulator<fast>;
 
@@ -267,23 +325,21 @@ template <class Instrumentation>
 basic_dew_simulator<Instrumentation>::basic_dew_simulator(
     unsigned max_level, std::uint32_t assoc, std::uint32_t block_size,
     dew_options options)
-    : max_level_{max_level},
+    : max_level_{validated_max_level(max_level, assoc, block_size, options)},
       assoc_{assoc},
       way_mask_{assoc - 1},
       block_size_{block_size},
       block_bits_{log2_exact(block_size)},
       mre_depth_{options.effective_mre_depth()},
       options_{options},
-      tree_{max_level, assoc, options.effective_mre_depth()},
+      tree_{make_tree(max_level, assoc, options)},
       misses_assoc_(max_level + 1, 0),
-      misses_dm_(max_level + 1, 0) {
-    validate_construction(max_level, assoc, block_size, options);
-}
+      misses_dm_(max_level + 1, 0) {}
 
-// The per-access walk and the chunk/block stream loops: every instruction
+// The per-access walks and the chunk/block stream loops: every instruction
 // here runs once per trace reference.  dewlint's hot-loop rule bans
 // allocation, container growth, formatted I/O and wall-clock reads inside
-// the region — the walk must stay pure loads, stores and compares.
+// the region — the walks must stay pure loads, stores and compares.
 // dewlint: hot-loop begin dew-walk
 // Scans the node's victim buffer for `block`, counting one tag comparison
 // per valid entry examined.  Returns the matching slot or `no_victim_match`.
@@ -294,30 +350,16 @@ basic_dew_simulator<Instrumentation>::probe_victims(node_ref node,
                                                     std::uint64_t block) {
     const std::uint32_t depth =
         StaticDepth == runtime_depth ? mre_depth_ : StaticDepth;
-    if constexpr (counted) {
-        for (std::uint32_t slot = 0; slot < depth; ++slot) {
-            if (node.victims[slot].tag == cache::invalid_tag) {
-                continue; // never filled: no comparison performed
-            }
-            ++instrumentation_.counters.tag_comparisons;
-            if (node.victims[slot].tag == block) {
-                return slot;
-            }
+    for (std::uint32_t slot = 0; slot < depth; ++slot) {
+        if (node.victims[slot].tag == cache::invalid_tag) {
+            continue; // never filled: no comparison performed
         }
-        return no_victim_match;
-    } else {
-        // Branchless scan.  A never-filled slot holds invalid_tag, which no
-        // real block number equals (access_block rejects it), so comparing
-        // unconditionally is safe; a buffered tag appears at most once (the
-        // swap removes it on re-fetch), so any match is the match.  The
-        // conditional select compiles to cmov — no data-dependent branch,
-        // where the valid-prefix loop above mispredicts on buffer state.
-        std::uint32_t matched = no_victim_match;
-        for (std::uint32_t slot = 0; slot < depth; ++slot) {
-            matched = node.victims[slot].tag == block ? slot : matched;
+        ++instrumentation_.counters.tag_comparisons;
+        if (node.victims[slot].tag == block) {
+            return slot;
         }
-        return matched;
     }
+    return no_victim_match;
 }
 
 template <class Instrumentation>
@@ -342,9 +384,7 @@ std::uint32_t basic_dew_simulator<Instrumentation>::insert_on_miss(
         matched_slot = probe_victims<StaticDepth>(node, block);
         if (matched_slot != no_victim_match) {
             known = mre_knowledge::matched;
-            if constexpr (counted) {
-                ++instrumentation_.counters.mre_swaps;
-            }
+            ++instrumentation_.counters.mre_swaps;
         }
     }
 
@@ -377,8 +417,7 @@ std::uint32_t basic_dew_simulator<Instrumentation>::insert_on_miss(
 
 template <class Instrumentation>
 template <std::uint32_t StaticAssoc, std::uint32_t StaticDepth, bool AllOpts>
-void basic_dew_simulator<Instrumentation>::access_block_impl(
-    std::uint64_t block) {
+void basic_dew_simulator<Instrumentation>::paper_walk(std::uint64_t block) {
     const std::uint32_t assoc = StaticAssoc == 0 ? assoc_ : StaticAssoc;
     // AllOpts folds the property switches to constants (full DEW); the
     // generic instantiation reads them per access for the ablations.
@@ -389,6 +428,7 @@ void basic_dew_simulator<Instrumentation>::access_block_impl(
     // can only produce it from the top bytes of the address space at tiny
     // block sizes, and accepting it would corrupt the tree silently.
     DEW_EXPECTS(block != cache::invalid_tag);
+    dew_counters& counters = instrumentation_.counters;
     const unsigned levels = max_level_ + 1;
 
     // The wave pointer chain: entry holding `block` in the previous
@@ -405,20 +445,14 @@ void basic_dew_simulator<Instrumentation>::access_block_impl(
     for (unsigned level = 0; level < levels;
          ++level, slot += bit + (block & bit), bit <<= 1) {
         const node_ref node = nodes.at(slot);
-        if constexpr (counted) {
-            ++instrumentation_.counters.node_evaluations;
-        }
+        ++counters.node_evaluations;
 
         // Property 2 probe.  This same comparison yields the exact
         // direct-mapped (associativity 1) outcome for set count 2^level,
         // because the MRA tag equals the last block that mapped here.
-        if constexpr (counted) {
-            ++instrumentation_.counters.tag_comparisons;
-        }
+        ++counters.tag_comparisons;
         if (node.mra == block) {
-            if constexpr (counted) {
-                ++instrumentation_.counters.mra_hits;
-            }
+            ++counters.mra_hits;
             if (use_mra_stop) {
                 // Hit certified at this level and every deeper level, for
                 // both associativity A and 1.  Hits are implicit
@@ -435,7 +469,6 @@ void basic_dew_simulator<Instrumentation>::access_block_impl(
         ++misses_dm_[level];
         node.mra = block;
 
-        bool hit = false;
         std::uint32_t way = 0;
         bool determined = false;
 
@@ -444,21 +477,14 @@ void basic_dew_simulator<Instrumentation>::access_block_impl(
             parent_entry->wave != empty_wave) {
             const std::uint32_t pointed = parent_entry->wave;
             DEW_ASSERT(pointed < assoc);
-            if constexpr (counted) {
-                ++instrumentation_.counters.wave_checks;
-                ++instrumentation_.counters.tag_comparisons;
-            }
+            ++counters.wave_checks;
+            ++counters.tag_comparisons;
             determined = true;
             if (node.ways[pointed].tag == block) {
-                if constexpr (counted) {
-                    ++instrumentation_.counters.wave_hit_determinations;
-                }
-                hit = true;
+                ++counters.wave_hit_determinations;
                 way = pointed;
             } else {
-                if constexpr (counted) {
-                    ++instrumentation_.counters.wave_miss_determinations;
-                }
+                ++counters.wave_miss_determinations;
                 ++misses_assoc_[level];
                 way = insert_on_miss<StaticAssoc, StaticDepth, AllOpts>(
                     node, block, mre_knowledge::unknown);
@@ -473,47 +499,28 @@ void basic_dew_simulator<Instrumentation>::access_block_impl(
                 matched_slot = probe_victims<StaticDepth>(node, block);
             }
             if (matched_slot != no_victim_match) {
-                if constexpr (counted) {
-                    ++instrumentation_.counters.mre_determinations;
-                }
+                ++counters.mre_determinations;
                 ++misses_assoc_[level];
                 way = insert_on_miss<StaticAssoc, StaticDepth, AllOpts>(
                     node, block, mre_knowledge::matched, matched_slot);
             } else {
-                // Full tag-list search.
+                // Full tag-list search.  Valid entries form a prefix under
+                // FIFO fill, and skipped invalid ways cost no comparison —
+                // the exact Table-3 counting convention.
                 bool found = false;
-                if constexpr (counted) {
-                    // Valid entries form a prefix under FIFO fill, and
-                    // skipped invalid ways cost no comparison — the exact
-                    // Table-3 counting convention.
-                    ++instrumentation_.counters.searches;
-                    for (std::uint32_t i = 0; i < assoc; ++i) {
-                        if (node.ways[i].tag == cache::invalid_tag) {
-                            continue;
-                        }
-                        ++instrumentation_.counters.tag_comparisons;
-                        if (node.ways[i].tag == block) {
-                            found = true;
-                            way = i;
-                            break;
-                        }
+                ++counters.searches;
+                for (std::uint32_t i = 0; i < assoc; ++i) {
+                    if (node.ways[i].tag == cache::invalid_tag) {
+                        continue;
                     }
-                } else {
-                    // Branchless scan of all A ways: invalid_tag never
-                    // equals a real block number and resident tags are
-                    // distinct, so unconditional compares plus a cmov
-                    // select find the same way without the early-exit
-                    // branches (which mispredict on cache contents).
-                    std::uint32_t matched = assoc;
-                    for (std::uint32_t i = 0; i < assoc; ++i) {
-                        matched = node.ways[i].tag == block ? i : matched;
+                    ++counters.tag_comparisons;
+                    if (node.ways[i].tag == block) {
+                        found = true;
+                        way = i;
+                        break;
                     }
-                    found = matched != assoc;
-                    way = found ? matched : 0;
                 }
-                if (found) {
-                    hit = true;
-                } else {
+                if (!found) {
                     ++misses_assoc_[level];
                     way = insert_on_miss<StaticAssoc, StaticDepth, AllOpts>(
                         node, block,
@@ -529,37 +536,75 @@ void basic_dew_simulator<Instrumentation>::access_block_impl(
             parent_entry->wave = way;
         }
         parent_entry = &node.ways[way];
-        (void)hit;
+    }
+}
+
+template <class Instrumentation>
+template <std::uint32_t StaticAssoc>
+void basic_dew_simulator<Instrumentation>::lean_walk(std::uint64_t block) {
+    // A tag scan is bounded by A and a cursor wraps modulo A; both are
+    // 64-bit, as wide as any associativity the constructor accepts.
+    const std::uint64_t assoc = StaticAssoc == 0 ? assoc_ : StaticAssoc;
+    // Every cold word holds the all-ones sentinel, which this block number
+    // would match as a resident tag and as an MRA certificate.
+    DEW_EXPECTS(block != cache::invalid_tag);
+    const unsigned levels = max_level_ + 1;
+    // Locals, not members: each tag store may alias a same-typed member.
+    std::uint64_t* const records = tree_.records();
+    const std::uint64_t record_words = lean_tree::words_per_record(assoc);
+    std::uint64_t* const misses_dm = misses_dm_.data();
+    std::uint64_t* const misses_assoc = misses_assoc_.data();
+
+    std::uint64_t slot = 0;
+    std::uint64_t bit = 1;
+    for (unsigned level = 0; level < levels;
+         ++level, slot += bit + (block & bit), bit <<= 1) {
+        std::uint64_t* const node = records + slot * record_words;
+        // Property 2: a hit here and at every deeper level, for A and 1.
+        if (node[lean_tree::mra_word] == block) {
+            return;
+        }
+        // A direct-mapped miss: the MRA tag is that set's one block.
+        ++misses_dm[level];
+        node[lean_tree::mra_word] = block;
+
+        // The A-way set: a cold way holds the sentinel, never a real block,
+        // so an or-reduction over all A ways answers, with no data-dependent
+        // branch per way.
+        const std::uint64_t* const tags = node + lean_tree::first_tag_word;
+        bool resident = false;
+        for (std::uint64_t way = 0; way < assoc; ++way) {
+            resident |= tags[way] == block;
+        }
+        if (!resident) {
+            ++misses_assoc[level];
+            const std::uint64_t victim =
+                node[lean_tree::cursor_word] & (assoc - 1);
+            node[lean_tree::first_tag_word + victim] = block;
+            node[lean_tree::cursor_word] = victim + 1;
+        }
     }
 }
 
 template <class Instrumentation>
 void basic_dew_simulator<Instrumentation>::simulate_chunk(
     std::span<const trace::mem_access> chunk) {
-    // Resolve the static-associativity dispatch once for the whole chunk.
+    // Resolve the static dispatch once for the whole chunk.
     note_requests(chunk.size());
-    with_static_assoc(assoc_, [&](auto a) {
-        with_static_depth(mre_depth_, [&](auto d) {
-            with_static_options(options_, [&](auto o) {
-                for (const trace::mem_access& reference : chunk) {
-                    this->template access_block_impl<a(), d(), o()>(
-                        reference.address >> block_bits_);
-                }
-            });
-        });
+    with_static_walk([&](auto a, auto d, auto o) {
+        for (const trace::mem_access& reference : chunk) {
+            this->template access_block_impl<a(), d(), o()>(
+                reference.address >> block_bits_);
+        }
     });
 }
 
 template <class Instrumentation>
 void basic_dew_simulator<Instrumentation>::simulate_blocks(
     std::span<const std::uint64_t> blocks) {
-    with_static_assoc(assoc_, [&](auto a) {
-        with_static_depth(mre_depth_, [&](auto d) {
-            with_static_options(options_, [&](auto o) {
-                this->template run_blocks<a(), d(), o()>(
-                    blocks.data(), blocks.data() + blocks.size());
-            });
-        });
+    with_static_walk([&](auto a, auto d, auto o) {
+        this->template run_blocks<a(), d(), o()>(
+            blocks.data(), blocks.data() + blocks.size());
     });
 }
 // dewlint: hot-loop end dew-walk

@@ -81,6 +81,18 @@ void dew_tree::clear() {
     }
 }
 
+lean_tree::lean_tree(unsigned max_level, std::uint32_t associativity)
+    : record_words_{words_per_record(associativity)} {
+    DEW_EXPECTS(max_level < 32);
+    DEW_EXPECTS(is_pow2(associativity));
+    const std::uint64_t nodes = (std::uint64_t{1} << (max_level + 1)) - 1;
+    words_.assign(nodes * record_words_, cache::invalid_tag);
+}
+
+void lean_tree::clear() {
+    std::fill(words_.begin(), words_.end(), cache::invalid_tag);
+}
+
 std::uint64_t dew_tree::paper_bits_per_level(unsigned level) const noexcept {
     return (std::uint64_t{1} << level) * paper_bits_per_node(assoc_);
 }

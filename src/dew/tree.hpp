@@ -1,19 +1,30 @@
-// The binomial simulation tree (Property 1, Figure 1 of the paper).
+// The binomial simulation trees (Property 1, Figure 1 of the paper).
 //
 // Level l holds 2^l nodes; the node for set index i at level l represents
 // the cache set i of the configuration with 2^l sets.  Its two children at
 // level l+1 are the sets i and i + 2^l: the index grows by one block-address
 // bit per level, so a block's root-to-leaf path is implicit in its address
-// and the tree needs no child pointers at all.
+// and the tree needs no child pointers at all.  Both trees below index
+// their nodes the same way: level l's node for block b sits at the flat
+// slot (2^l - 1) + (b & (2^l - 1)).
 //
-// Per node (paper layout): the MRA tag, the MRE tag with its wave pointer,
-// and A tag-list entries of (tag, wave pointer) — 96 + 64*A bits.  The wave
-// pointer of an entry holding tag t names the way t occupied in the *child
-// node on t's path* when t last descended through it; `empty_wave` means
-// unknown.  FIFO never moves a resident block between ways, which is what
-// makes a stored way index trustworthy until eviction.
+// Two storage types, one per walk (see dew/simulator.hpp):
 //
-// Storage layout — two planes, engineered around the walk's access pattern:
+//  * dew_tree — the paper's node, for the counted walk that reproduces the
+//    paper's comparison counts (Tables 3 and 4).
+//  * lean_tree — for the fast walk that production sweeps run: per node
+//    one contiguous record of A + 2 words, the MRA tag, the FIFO cursor
+//    and the A tags; 144 bytes at A = 16 against dew_tree's 296.
+//
+// dew_tree, per node (paper layout): the MRA tag, the MRE tag with its wave
+// pointer, and A tag-list entries of (tag, wave pointer) — 96 + 64*A bits.
+// The wave pointer of an entry holding tag t names the way t occupied in
+// the *child node on t's path* when t last descended through it;
+// `empty_wave` means unknown.  FIFO never moves a resident block between
+// ways, which is what makes a stored way index trustworthy until eviction.
+//
+// dew_tree storage — two planes, engineered around the paper walk's access
+// pattern:
 //
 //  * The MRA plane: one dense std::uint64_t per node.  The Property-2 probe
 //    reads (and on a DM miss writes) the MRA tag of every node the walk
@@ -216,6 +227,57 @@ private:
     // single provided-storage region, so a record never straddles distinct
     // storage objects).
     arena_ptr storage_;
+};
+
+// The fast walk's tree: per node one record of A + 2 words in a single
+// vector,
+//     word 0          the MRA tag (Property 2, and the direct-mapped set),
+//     word 1          the FIFO cursor, read modulo A,
+//     words 2..A + 1  the A-way set's tags, contiguous for the search.
+// A cold record is all invalid_tag, so construction and clear() are one
+// fill.  The cold cursor therefore names way A - 1 first rather than way 0:
+// FIFO only needs the cursor to name the oldest (or an empty) way, and any
+// start gives the same misses.  Tag positions, unlike tag sets, are not
+// those of dew_tree.
+class lean_tree {
+public:
+    static constexpr std::size_t mra_word = 0;
+    static constexpr std::size_t cursor_word = 1;
+    static constexpr std::size_t first_tag_word = 2;
+    // The record stride; the walk calls this with a compile-time A, so
+    // its slot-to-record multiply folds to shifts and adds.
+    [[nodiscard]] static constexpr std::size_t
+    words_per_record(std::uint64_t associativity) noexcept {
+        return first_tag_word + associativity;
+    }
+
+    // Levels 0..max_level inclusive, `associativity` tags per node.
+    lean_tree(unsigned max_level, std::uint32_t associativity);
+
+    // The node at flat slot s starts at records() + s * record_words().
+    // The walk keeps the base in a local, for the aliasing reason
+    // dew_tree::walker gives.
+    [[nodiscard]] std::uint64_t* records() noexcept { return words_.data(); }
+    [[nodiscard]] std::size_t record_words() const noexcept {
+        return record_words_;
+    }
+    // The record of the node for set `index` at `level`.
+    [[nodiscard]] const std::uint64_t* record(unsigned level,
+                                              std::uint64_t index) const noexcept {
+        return words_.data() +
+               ((std::uint64_t{1} << level) - 1 + index) * record_words_;
+    }
+
+    [[nodiscard]] std::uint64_t node_count() const noexcept {
+        return words_.size() / record_words_;
+    }
+
+    // Reset all nodes to the cold state.
+    void clear();
+
+private:
+    std::size_t record_words_; // words_per_record(associativity)
+    std::vector<std::uint64_t> words_;
 };
 
 } // namespace dew::core

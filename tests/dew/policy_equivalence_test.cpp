@@ -1,11 +1,15 @@
 // The instrumentation policy must never change simulation results: the
-// `fast` simulator (counters compiled out, branchless fast-path probes,
-// static-assoc/depth specialisations) and the `full_counters` simulator
-// must produce bit-identical miss counts on identical input, and the
-// pre-decoded block-stream entry point must match the address entry point.
+// `fast` simulator (the lean walk: MRA stop, contiguous tag search, FIFO
+// insert, whatever the options say) and the `full_counters` simulator (the
+// paper walk, shaped by the options) must produce bit-identical miss counts
+// on identical input, and the pre-decoded block-stream entry point must
+// match the address entry point.
 #include "dew/simulator.hpp"
 
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <string>
 
 #include "trace/generator.hpp"
 #include "trace/mediabench.hpp"
@@ -49,27 +53,82 @@ dew_options options_for_depth(std::uint32_t depth) {
     return options;
 }
 
+// Exact equality of both miss columns, level by level.
+void expect_same_misses(const dew_result& expected, const dew_result& actual,
+                        const std::string& what) {
+    ASSERT_EQ(expected.max_level(), actual.max_level()) << what;
+    const std::uint32_t assoc = expected.associativity();
+    for (unsigned level = 0; level <= expected.max_level(); ++level) {
+        EXPECT_EQ(expected.misses(level, assoc), actual.misses(level, assoc))
+            << what << " level " << level;
+        EXPECT_EQ(expected.misses(level, 1), actual.misses(level, 1))
+            << what << " level " << level;
+    }
+}
+
+// (block size, depth): the original geometry, both block-size extremes,
+// and the paper's depth.
+struct geometry {
+    std::uint32_t block_size;
+    unsigned max_level;
+};
+constexpr geometry geometries[] = {{16, 9}, {1, 9}, {64, 9}, {32, 14}};
+
 TEST(PolicyEquivalence, FastAndCountedProduceIdenticalMisses) {
     for (const std::uint64_t seed : {1ull, 42ull, 1337ull}) {
         const trace::mem_trace trace = random_trace(seed, 30000);
-        for (const std::uint32_t assoc : {1u, 2u, 4u, 8u}) {
-            for (const std::uint32_t depth : {0u, 1u, 4u}) {
-                const dew_options options = options_for_depth(depth);
-                dew_simulator counted{9, assoc, 16, options};
-                fast_dew_simulator fast{9, assoc, 16, options};
-                counted.simulate(trace);
-                fast.simulate(trace);
+        for (const geometry g : geometries) {
+            for (const std::uint32_t assoc : {1u, 2u, 4u, 8u, 16u}) {
+                for (const std::uint32_t depth : {0u, 1u, 4u}) {
+                    const dew_options options = options_for_depth(depth);
+                    dew_simulator counted{g.max_level, assoc, g.block_size,
+                                          options};
+                    fast_dew_simulator fast{g.max_level, assoc, g.block_size,
+                                            options};
+                    counted.simulate(trace);
+                    fast.simulate(trace);
+                    EXPECT_EQ(counted.requests(), fast.requests());
+                    expect_same_misses(
+                        counted.result(), fast.result(),
+                        "seed " + std::to_string(seed) + " B " +
+                            std::to_string(g.block_size) + " depth " +
+                            std::to_string(g.max_level) + " A " +
+                            std::to_string(assoc) + " mre_depth " +
+                            std::to_string(depth));
+                }
+            }
+        }
+    }
+}
 
-                const dew_result a = counted.result();
-                const dew_result b = fast.result();
-                EXPECT_EQ(counted.requests(), fast.requests());
-                for (unsigned level = 0; level <= 9; ++level) {
-                    EXPECT_EQ(a.misses(level, assoc), b.misses(level, assoc))
-                        << "seed " << seed << " assoc " << assoc << " depth "
-                        << depth << " level " << level;
-                    EXPECT_EQ(a.misses(level, 1), b.misses(level, 1))
-                        << "seed " << seed << " assoc " << assoc << " depth "
-                        << depth << " level " << level;
+// The fast walk ignores every switch: each option set must give the misses
+// of the default counted pass (full DEW).
+TEST(PolicyEquivalence, FastMissesIgnoreEveryOption) {
+    const dew_options variants[] = {
+        dew_options{},
+        dew_options::unoptimized(),
+        dew_options{false, true, true, 1},
+        dew_options{true, false, true, 1},
+        dew_options{true, true, false, 1},
+        dew_options{true, true, true, 4},
+    };
+    for (const std::uint64_t seed : {5ull, 77ull}) {
+        const trace::mem_trace trace = random_trace(seed, 20000);
+        for (const geometry g : geometries) {
+            for (const std::uint32_t assoc : {1u, 2u, 4u, 8u, 16u}) {
+                dew_simulator reference{g.max_level, assoc, g.block_size};
+                reference.simulate(trace);
+                for (std::size_t v = 0; v < std::size(variants); ++v) {
+                    fast_dew_simulator fast{g.max_level, assoc, g.block_size,
+                                            variants[v]};
+                    fast.simulate(trace);
+                    expect_same_misses(
+                        reference.result(), fast.result(),
+                        "seed " + std::to_string(seed) + " B " +
+                            std::to_string(g.block_size) + " depth " +
+                            std::to_string(g.max_level) + " A " +
+                            std::to_string(assoc) + " option set " +
+                            std::to_string(v));
                 }
             }
         }
@@ -133,18 +192,18 @@ TEST(PolicyEquivalence, CountedSimulateBlocksKeepsExactCounters) {
               by_blocks.counters().unoptimized_evaluations);
 }
 
-// Non-power-of-two-specialised associativity (32 falls through to the
-// generic runtime-assoc walk) must agree with the specialised ones'
-// counted twin.
+// Associativities without a static specialisation (32, and 512, past any
+// 8-bit cursor) fall through to the generic runtime-assoc walks, which must
+// agree with each other.
 TEST(PolicyEquivalence, GenericAssocFallbackMatchesCounted) {
     const trace::mem_trace trace = random_trace(11, 20000);
-    dew_simulator counted{8, 32, 16};
-    fast_dew_simulator fast{8, 32, 16};
-    counted.simulate(trace);
-    fast.simulate(trace);
-    for (unsigned level = 0; level <= 8; ++level) {
-        EXPECT_EQ(counted.result().misses(level, 32),
-                  fast.result().misses(level, 32));
+    for (const std::uint32_t assoc : {32u, 512u}) {
+        dew_simulator counted{8, assoc, 16};
+        fast_dew_simulator fast{8, assoc, 16};
+        counted.simulate(trace);
+        fast.simulate(trace);
+        expect_same_misses(counted.result(), fast.result(),
+                           "A " + std::to_string(assoc));
     }
 }
 

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "cache/set_model.hpp"
+#include "common/bits.hpp"
 #include "common/contracts.hpp"
+#include "dew/simulator.hpp"
+#include "trace/generator.hpp"
 
 namespace {
 
+using namespace dew;
 using namespace dew::core;
 
 TEST(DewTree, NodeCountIsCompleteBinaryHierarchy) {
@@ -106,6 +114,78 @@ TEST(DewTree, ZeroVictimDepthYieldsNullVictimView) {
     dew_tree tree{2, 2, 0};
     EXPECT_EQ(tree.node(1, 1).victims, nullptr);
     EXPECT_EQ(tree.victim_depth(), 0u);
+}
+
+TEST(LeanTree, RecordIsMraCursorThenTags) {
+    lean_tree tree{3, 4};
+    EXPECT_EQ(tree.node_count(), 15u);
+    EXPECT_EQ(tree.record_words(), 6u);
+    // Level 2, set 3 is flat slot 2^2 - 1 + 3 = 6.
+    EXPECT_EQ(tree.record(2, 3) - tree.record(0, 0), 6 * 6);
+}
+
+TEST(LeanTree, ColdAndClearedRecordsAreAllSentinel) {
+    lean_tree tree{2, 2};
+    const auto all_cold = [&] {
+        const std::uint64_t* words = tree.record(0, 0);
+        return std::all_of(words, words + tree.node_count() * tree.record_words(),
+                           [](std::uint64_t w) { return w == cache::invalid_tag; });
+    };
+    EXPECT_TRUE(all_cold());
+    tree.records()[tree.record_words() + lean_tree::mra_word] = 7;
+    tree.records()[lean_tree::cursor_word] = 1;
+    EXPECT_FALSE(all_cold());
+    tree.clear();
+    EXPECT_TRUE(all_cold());
+}
+
+TEST(LeanTree, RejectsInvalidGeometry) {
+    EXPECT_THROW(lean_tree(32, 4), contract_violation);
+    EXPECT_THROW(lean_tree(2, 3), contract_violation);
+}
+
+// The lean walk's tree holds exactly the reference FIFO sets (as sets: a
+// cold cursor starts at way A - 1, so positions differ from dew_tree's),
+// and every MRA tag is the last block that mapped to its set, including
+// the sets a stopped walk never visited.
+TEST(LeanTree, HoldsTheReferenceFifoSetsAfterEveryAccess) {
+    constexpr unsigned max_level = 4;
+    constexpr std::uint32_t assoc = 4;
+    fast_dew_simulator sim{max_level, assoc, 4};
+    std::vector<cache::fifo_cache_state> reference;
+    std::vector<std::uint64_t> last(std::size_t{2} << max_level,
+                                    cache::invalid_tag);
+    for (unsigned level = 0; level <= max_level; ++level) {
+        reference.emplace_back(std::uint32_t{1} << level, assoc);
+    }
+    const auto trace = trace::make_random_trace(0, 512, 3000, 21, 4);
+    for (const auto& access : trace) {
+        sim.access(access.address);
+        const std::uint64_t block = access.address >> 2;
+        for (unsigned level = 0; level <= max_level; ++level) {
+            const auto set =
+                static_cast<std::uint32_t>(block & low_mask(level));
+            reference[level].access(set, block);
+            last[(std::size_t{1} << level) - 1 + set] = block;
+        }
+        for (unsigned level = 0; level <= max_level; ++level) {
+            for (std::uint32_t set = 0; set < (1u << level); ++set) {
+                const std::uint64_t* record = sim.tree().record(level, set);
+                ASSERT_EQ(record[lean_tree::mra_word],
+                          last[(std::size_t{1} << level) - 1 + set]);
+                std::vector<std::uint64_t> lean(
+                    record + lean_tree::first_tag_word,
+                    record + lean_tree::first_tag_word + assoc);
+                std::vector<std::uint64_t> fifo;
+                for (std::uint32_t way = 0; way < assoc; ++way) {
+                    fifo.push_back(reference[level].tag_at(set, way));
+                }
+                std::sort(lean.begin(), lean.end());
+                std::sort(fifo.begin(), fifo.end());
+                ASSERT_EQ(lean, fifo) << "level " << level << " set " << set;
+            }
+        }
+    }
 }
 
 } // namespace
