@@ -87,11 +87,13 @@
 #include <functional>
 #include <future>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -338,20 +340,23 @@ void replay(std::istream& workload, const sweep_sink& sink,
     }
 }
 
-// Warm the cache from --load.  Salvage mode: a cache file damaged by a
+// Warm the cache from --load through `load` (the local service's or the
+// remote server's load_cache, in salvage mode): a cache file damaged by a
 // crash mid-save warms the cache with its verified prefix instead of
 // killing the run.  Returns an exit code, 0 on success.
-int warm_cache(serve::service& service, const std::string& load_path) {
+template <class Load>
+int warm_cache(const std::string& load_path, const char* where, Load load) {
     std::ifstream in{load_path, std::ios::binary};
     if (!in) {
         std::fprintf(stderr, "dew_serve: cannot read %s\n",
                      load_path.c_str());
         return 1;
     }
-    const serve::cache_load_report report =
-        service.load_cache(in, serve::load_mode::salvage);
-    std::printf("cache    warmed with %zu entries from %s\n", report.loaded,
-                load_path.c_str());
+    const std::string image{std::istreambuf_iterator<char>{in},
+                            std::istreambuf_iterator<char>{}};
+    const serve::cache_load_report report = load(image);
+    std::printf("cache    warmed%s with %zu entries from %s\n", where,
+                report.loaded, load_path.c_str());
     if (report.salvaged) {
         std::fprintf(stderr,
                      "dew_serve: %s was damaged: salvaged %zu entries, "
@@ -362,11 +367,11 @@ int warm_cache(serve::service& service, const std::string& load_path) {
     return 0;
 }
 
-// Atomic --save: stage into FILE.tmp and rename over FILE, so a crash
-// mid-save can corrupt only the staging file — the previous snapshot
-// survives intact (and even a torn FILE.tmp salvages).  Returns an exit
-// code, 0 on success.
-int save_cache(serve::service& service, const std::string& save_path) {
+// Atomic --save of a DSCF image: stage into FILE.tmp and rename over FILE,
+// so a crash mid-save can corrupt only the staging file — the previous
+// snapshot survives intact (and even a torn FILE.tmp salvages).  Returns
+// an exit code, 0 on success.
+int save_cache(const std::string& image, const std::string& save_path) {
     const std::string staging = save_path + ".tmp";
     {
         std::ofstream out{staging, std::ios::binary | std::ios::trunc};
@@ -375,7 +380,7 @@ int save_cache(serve::service& service, const std::string& save_path) {
                          staging.c_str());
             return 1;
         }
-        service.save_cache(out);
+        out.write(image.data(), static_cast<std::streamsize>(image.size()));
         out.flush();
         if (!out) {
             std::fprintf(stderr, "dew_serve: write to %s failed\n",
@@ -472,7 +477,11 @@ int run_server(const serve::service_options& options, std::uint16_t port,
     }
     net::server& server = *server_storage;
     if (!load_path.empty()) {
-        if (const int code = warm_cache(server.local_service(), load_path)) {
+        serve::service& local = server.local_service();
+        if (const int code = warm_cache(
+                load_path, "", [&local](std::string_view image) {
+                    return local.load_cache(image, serve::load_mode::salvage);
+                })) {
             return code;
         }
     }
@@ -502,7 +511,8 @@ int run_server(const serve::service_options& options, std::uint16_t port,
     // trace dump holds every span.
     server.stop();
     if (!save_path.empty()) {
-        if (const int code = save_cache(server.local_service(), save_path)) {
+        if (const int code =
+                save_cache(server.local_service().save_cache(), save_path)) {
             return code;
         }
     }
@@ -811,26 +821,17 @@ int main(int argc, char** argv) {
         };
     }
     if (!load_path.empty()) {
-        if (sink.local) {
-            if (const int code = warm_cache(*service_storage, load_path)) {
-                return code;
-            }
-        } else {
-            // Remote warm-up: ship the file as a DSCF image; the server
-            // salvages a torn one, same as the local path.
-            std::ifstream in{load_path, std::ios::binary};
-            if (!in) {
-                std::fprintf(stderr, "dew_serve: cannot read %s\n",
-                             load_path.c_str());
-                return 1;
-            }
-            std::ostringstream image;
-            image << in.rdbuf();
-            const serve::cache_load_report report =
-                client_storage->load_cache(serve::load_mode::salvage,
-                                           image.str());
-            std::printf("cache    warmed remote with %zu entries from %s\n",
-                        report.loaded, load_path.c_str());
+        // Remote warm-up ships the file as a DSCF image; the server
+        // salvages a torn one, same as the local path.
+        const auto load = [&](std::string_view image) {
+            return sink.local ? service_storage->load_cache(
+                                    image, serve::load_mode::salvage)
+                              : client_storage->load_cache(
+                                    serve::load_mode::salvage, image);
+        };
+        if (const int code =
+                warm_cache(load_path, sink.local ? "" : " remote", load)) {
+            return code;
         }
     }
 
@@ -928,33 +929,10 @@ int main(int argc, char** argv) {
                 timed_out, failed);
 
     if (!save_path.empty()) {
-        if (sink.local) {
-            if (const int code = save_cache(*service_storage, save_path)) {
-                return code;
-            }
-        } else {
-            // The remote cache as a DSCF image, staged and renamed like
-            // the local save.
-            const std::string image = client_storage->save_cache();
-            const std::string staging = save_path + ".tmp";
-            {
-                std::ofstream out{staging,
-                                  std::ios::binary | std::ios::trunc};
-                out.write(image.data(),
-                          static_cast<std::streamsize>(image.size()));
-                out.flush();
-                if (!out) {
-                    std::fprintf(stderr, "dew_serve: cannot write %s\n",
-                                 staging.c_str());
-                    return 1;
-                }
-            }
-            if (std::rename(staging.c_str(), save_path.c_str()) != 0) {
-                std::fprintf(stderr, "dew_serve: cannot rename %s to %s\n",
-                             staging.c_str(), save_path.c_str());
-                return 1;
-            }
-            std::printf("cache    saved to %s\n", save_path.c_str());
+        const std::string image = sink.local ? service_storage->save_cache()
+                                             : client_storage->save_cache();
+        if (const int code = save_cache(image, save_path)) {
+            return code;
         }
     }
     // The client-side leg of the trace: submit spans carrying the same

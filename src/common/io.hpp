@@ -1,9 +1,8 @@
-// Little-endian integer stream writers shared by every binary format in
-// the library (DEWT/DEWC traces, DSWR result records, DSCF cache files).
-// Readers stay format-local: their error types and fault messages differ
-// materially (format_error vs byte-offset-naming runtime_error), and a
-// shared reader would flatten exactly the diagnostics the formats are
-// hardened to give.
+// Little-endian integer stream writers of the DEWT/DEWC trace formats.
+// Their readers stay format-local only because the trace formats stream
+// millions of records and throw format_error; every binary format read
+// whole from memory (DSNW frames, DSWR records, DSCF cache files) is one
+// field list over the shared codec in common/codec.hpp instead.
 #ifndef DEW_COMMON_IO_HPP
 #define DEW_COMMON_IO_HPP
 

@@ -24,8 +24,13 @@ struct config_outcome {
     }
 };
 
+struct sweep_record_fields; // dew/result_io.hpp
+
 class dew_result {
 public:
+    // An unfilled pass, with no levels yet, for a decoder to fill in place
+    // (dew/result_io.hpp); only a filled pass may be read.
+    dew_result() = default;
     dew_result(unsigned max_level, std::uint32_t assoc,
                std::uint32_t block_size, std::uint64_t requests,
                std::vector<std::uint64_t> misses_assoc,
@@ -55,10 +60,13 @@ public:
     }
 
 private:
-    unsigned max_level_;
-    std::uint32_t assoc_;
-    std::uint32_t block_size_;
-    std::uint64_t requests_;
+    // The DSWR record reads and writes the fields below in place.
+    friend struct sweep_record_fields;
+
+    unsigned max_level_{0};
+    std::uint32_t assoc_{0};
+    std::uint32_t block_size_{0};
+    std::uint64_t requests_{0};
     std::vector<std::uint64_t> misses_assoc_;
     std::vector<std::uint64_t> misses_dm_;
     dew_counters counters_;

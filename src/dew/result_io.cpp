@@ -1,16 +1,11 @@
 #include "dew/result_io.hpp"
 
-#include <array>
-#include <bit>
-#include <cstring>
 #include <iomanip>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 
 #include "common/format.hpp"
-#include "common/io.hpp"
 
 namespace dew::core {
 
@@ -51,213 +46,16 @@ void write_table(std::ostream& out, const dew_result& result) {
     }
 }
 
-// --- Binary round trip ------------------------------------------------------
-
-namespace {
-
-// Little-endian writers shared with every other binary format.
-using dew::put_u32_le;
-using dew::put_u64_le;
-
-// Counters in declaration order; the format freezes this sequence.
-std::array<std::uint64_t, 11> counter_words(const dew_counters& c) {
-    return {c.requests, c.node_evaluations, c.unoptimized_evaluations,
-            c.mra_hits, c.wave_checks, c.mre_determinations, c.searches,
-            c.wave_hit_determinations, c.wave_miss_determinations,
-            c.mre_swaps, c.tag_comparisons};
+std::string encode_sweep_record(const sweep_result& sweep) {
+    return codec::encode(sweep, sweep_fields);
 }
 
-// Strict in-memory payload cursor.  All reads bound-check against the
-// declared payload and report absolute byte offsets (counting from the
-// start of the result record, header included).
-class payload_reader {
-public:
-    payload_reader(const std::string& bytes, std::uint64_t base_offset)
-        : bytes_{bytes}, base_{base_offset} {}
-
-    [[nodiscard]] std::uint64_t offset() const noexcept {
-        return base_ + cursor_;
-    }
-
-    [[nodiscard]] std::size_t consumed() const noexcept { return cursor_; }
-
-    std::uint32_t get_u32(const char* field) {
-        return static_cast<std::uint32_t>(get_le(4, field));
-    }
-
-    std::uint64_t get_u64(const char* field) { return get_le(8, field); }
-
-private:
-    std::uint64_t get_le(std::size_t width, const char* field) {
-        if (bytes_.size() - cursor_ < width) {
-            throw std::runtime_error{
-                "truncated sweep result payload: " + std::string{field} +
-                " needs " + std::to_string(width) + " bytes at byte offset " +
-                std::to_string(offset()) + " but the declared payload ends at "
-                "byte offset " + std::to_string(base_ + bytes_.size())};
-        }
-        std::uint64_t value = 0;
-        for (std::size_t i = width; i-- > 0;) {
-            value = (value << 8) |
-                    static_cast<unsigned char>(bytes_[cursor_ + i]);
-        }
-        cursor_ += width;
-        return value;
-    }
-
-    const std::string& bytes_;
-    std::uint64_t base_;
-    std::size_t cursor_{0};
-};
-
-} // namespace
-
-void write_binary_result(std::ostream& out, const sweep_result& result) {
-    out.write(result_magic, sizeof(result_magic));
-    put_u32_le(out, result_version);
-
-    std::uint64_t payload_bytes = 8 + 8 + 4; // requests + seconds + count
-    for (const dew_result& pass : result.passes) {
-        payload_bytes += 4 + 4 + 4 + 8 +
-                         std::uint64_t{16} * (pass.max_level() + 1) +
-                         8 * counter_words(pass.counters()).size();
-    }
-    put_u64_le(out, payload_bytes);
-
-    put_u64_le(out, result.requests);
-    put_u64_le(out, std::bit_cast<std::uint64_t>(result.seconds));
-    put_u32_le(out, static_cast<std::uint32_t>(result.passes.size()));
-    for (const dew_result& pass : result.passes) {
-        put_u32_le(out, pass.max_level());
-        put_u32_le(out, pass.associativity());
-        put_u32_le(out, pass.block_size());
-        put_u64_le(out, pass.requests());
-        for (unsigned level = 0; level <= pass.max_level(); ++level) {
-            put_u64_le(out, pass.misses(level, pass.associativity()));
-        }
-        for (unsigned level = 0; level <= pass.max_level(); ++level) {
-            put_u64_le(out, pass.misses(level, 1));
-        }
-        for (const std::uint64_t word : counter_words(pass.counters())) {
-            put_u64_le(out, word);
-        }
-    }
-}
-
-sweep_result read_binary_result(std::istream& in) {
-    // Fixed header straight off the stream.
-    std::array<char, 16> header{};
-    in.read(header.data(), static_cast<std::streamsize>(header.size()));
-    if (in.gcount() != static_cast<std::streamsize>(header.size())) {
-        throw std::runtime_error{
-            "truncated sweep result: header needs 16 bytes, stream ended at "
-            "byte offset " + std::to_string(in.gcount())};
-    }
-    if (std::memcmp(header.data(), result_magic, sizeof(result_magic)) != 0) {
-        throw std::runtime_error{
-            "bad sweep result magic at byte offset 0 (want \"DSWR\")"};
-    }
-    std::uint32_t version = 0;
-    std::uint64_t payload_bytes = 0;
-    for (std::size_t i = 8; i-- > 4;) {
-        version = (version << 8) | static_cast<unsigned char>(header[i]);
-    }
-    for (std::size_t i = 16; i-- > 8;) {
-        payload_bytes =
-            (payload_bytes << 8) | static_cast<unsigned char>(header[i]);
-    }
-    if (version != result_version) {
-        throw std::runtime_error{
-            "unsupported sweep result version " + std::to_string(version) +
-            " at byte offset 4"};
-    }
-    // An absurd declared length is rejected before any allocation: real
-    // results are kilobytes (a full paper-grid pass is under a KiB), so a
-    // 64 MiB ceiling is orders of magnitude of headroom while keeping a
-    // corrupt 16-byte header from demanding a multi-GiB buffer.
-    constexpr std::uint64_t max_payload = std::uint64_t{64} << 20;
-    if (payload_bytes < 20 || payload_bytes > max_payload) {
-        throw std::runtime_error{
-            "implausible sweep result payload length " +
-            std::to_string(payload_bytes) + " at byte offset 8"};
-    }
-
-    // Exactly the declared payload is pulled off the stream; trailing bytes
-    // stay unread so records can be concatenated.
-    std::string payload(static_cast<std::size_t>(payload_bytes), '\0');
-    in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
-    if (in.gcount() != static_cast<std::streamsize>(payload.size())) {
-        throw std::runtime_error{
-            "truncated sweep result: payload declares " +
-            std::to_string(payload_bytes) + " bytes but the stream ended at "
-            "byte offset " +
-            std::to_string(16 + static_cast<std::uint64_t>(in.gcount()))};
-    }
-
-    payload_reader reader{payload, 16};
-    sweep_result result;
-    result.requests = reader.get_u64("requests");
-    result.seconds = std::bit_cast<double>(reader.get_u64("seconds"));
-    const std::uint32_t pass_count = reader.get_u32("pass count");
-    // Each pass occupies at least 124 bytes (20 fixed + 16 misses at
-    // max_level 0 + 88 counters) of the payload *after* the 20 bytes
-    // already consumed; a count the remaining payload cannot fit is
-    // corrupt, not just truncated — rejected here so the reserve below is
-    // bounded by what a valid file could actually hold.
-    if (std::uint64_t{pass_count} * 124 > payload_bytes - 20) {
-        throw std::runtime_error{
-            "implausible sweep result pass count " +
-            std::to_string(pass_count) + " at byte offset 32"};
-    }
-    result.passes.reserve(pass_count);
-    for (std::uint32_t p = 0; p < pass_count; ++p) {
-        const std::uint64_t pass_offset = reader.offset();
-        const std::uint32_t max_level = reader.get_u32("pass max_level");
-        if (max_level >= 32) {
-            throw std::runtime_error{
-                "implausible sweep result max_level " +
-                std::to_string(max_level) + " at byte offset " +
-                std::to_string(pass_offset)};
-        }
-        const std::uint32_t assoc = reader.get_u32("pass associativity");
-        const std::uint32_t block = reader.get_u32("pass block size");
-        if (assoc == 0 || block == 0) {
-            throw std::runtime_error{
-                "zero associativity or block size at byte offset " +
-                std::to_string(pass_offset + 4)};
-        }
-        const std::uint64_t requests = reader.get_u64("pass requests");
-        std::vector<std::uint64_t> misses_assoc(max_level + 1);
-        std::vector<std::uint64_t> misses_dm(max_level + 1);
-        for (std::uint64_t& misses : misses_assoc) {
-            misses = reader.get_u64("pass assoc misses");
-        }
-        for (std::uint64_t& misses : misses_dm) {
-            misses = reader.get_u64("pass dm misses");
-        }
-        dew_counters counters;
-        std::array<std::uint64_t*, 11> fields = {
-            &counters.requests, &counters.node_evaluations,
-            &counters.unoptimized_evaluations, &counters.mra_hits,
-            &counters.wave_checks, &counters.mre_determinations,
-            &counters.searches, &counters.wave_hit_determinations,
-            &counters.wave_miss_determinations, &counters.mre_swaps,
-            &counters.tag_comparisons};
-        for (std::uint64_t* field : fields) {
-            *field = reader.get_u64("pass counters");
-        }
-        result.passes.emplace_back(max_level, assoc, block, requests,
-                                   std::move(misses_assoc),
-                                   std::move(misses_dm), counters);
-    }
-    if (reader.consumed() != payload.size()) {
-        throw std::runtime_error{
-            "over-long sweep result payload: structure ends at byte offset " +
-            std::to_string(reader.offset()) + " but the payload declares " +
-            std::to_string(payload_bytes) + " bytes (ending at byte offset " +
-            std::to_string(16 + payload_bytes) + ")"};
-    }
-    return result;
+sweep_result decode_sweep_record(std::string_view& bytes) {
+    codec::cursor<std::runtime_error> in{bytes, "sweep result"};
+    sweep_result sweep;
+    sweep_fields(in, sweep);
+    bytes.remove_prefix(static_cast<std::size_t>(in.offset()));
+    return sweep;
 }
 
 void write_counters(std::ostream& out, const dew_counters& counters) {

@@ -99,10 +99,10 @@ public:
     // and feeds it to every associativity pass, so per-pass work never
     // touches 16-byte mem_access records again.
     void access_block(std::uint64_t block) {
-        note_requests(1);
         with_static_walk([&](auto a, auto d, auto o) {
             access_block_impl<a(), d(), o()>(block);
         });
+        note_requests(1); // only once the walk accepted the block
     }
     void simulate_blocks(std::span<const std::uint64_t> blocks);
 
@@ -258,14 +258,22 @@ private:
               bool AllOpts>
     DEW_NOINLINE void run_blocks(const std::uint64_t* first,
                                  const std::uint64_t* last) {
-        note_requests(static_cast<std::uint64_t>(last - first));
-        for (; first != last; ++first) {
-            access_block_impl<StaticAssoc, StaticDepth, AllOpts>(*first);
+        const std::uint64_t* const begin = first;
+        try {
+            for (; first != last; ++first) {
+                access_block_impl<StaticAssoc, StaticDepth, AllOpts>(*first);
+            }
+        } catch (...) {
+            note_requests(static_cast<std::uint64_t>(first - begin));
+            throw;
         }
+        note_requests(static_cast<std::uint64_t>(last - begin));
     }
 
     // Request bookkeeping, hoisted out of the per-access walk: one bulk
     // update per stream instead of a member read-modify-write per access.
+    // Only blocks the walk accepted count: a loop that a rejected block
+    // (the sentinel) ends by a throw counts the prefix before it.
     void note_requests(std::uint64_t count) {
         requests_ += count;
         if constexpr (counted) {
@@ -590,13 +598,20 @@ template <class Instrumentation>
 void basic_dew_simulator<Instrumentation>::simulate_chunk(
     std::span<const trace::mem_access> chunk) {
     // Resolve the static dispatch once for the whole chunk.
-    note_requests(chunk.size());
     with_static_walk([&](auto a, auto d, auto o) {
-        for (const trace::mem_access& reference : chunk) {
-            this->template access_block_impl<a(), d(), o()>(
-                reference.address >> block_bits_);
+        const trace::mem_access* reference = chunk.data();
+        const trace::mem_access* const last = reference + chunk.size();
+        try {
+            for (; reference != last; ++reference) {
+                this->template access_block_impl<a(), d(), o()>(
+                    reference->address >> block_bits_);
+            }
+        } catch (...) {
+            note_requests(static_cast<std::uint64_t>(reference - chunk.data()));
+            throw;
         }
     });
+    note_requests(chunk.size());
 }
 
 template <class Instrumentation>

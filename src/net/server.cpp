@@ -2,7 +2,6 @@
 
 #include <exception>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "net/frame_server.hpp"
@@ -99,17 +98,14 @@ struct server::state {
             conn->send(message_type::events_ok, id,
                        encode_events(service.events()));
             return;
-        case message_type::cache_save: {
-            std::ostringstream image;
-            service.save_cache(image);
-            conn->send(message_type::cache_contents, id, image.str());
+        case message_type::cache_save:
+            conn->send(message_type::cache_contents, id,
+                       service.save_cache());
             return;
-        }
         case message_type::cache_load: {
             const cache_load_message message = decode_cache_load(payload);
-            std::istringstream image{message.cache_file};
             const serve::cache_load_report report =
-                service.load_cache(image, message.mode);
+                service.load_cache(message.cache_file, message.mode);
             conn->send(message_type::cache_loaded, id,
                        encode_load_report(report));
             return;

@@ -1,15 +1,10 @@
 #include "net/wire.hpp"
 
-#include <bit>
 #include <cerrno>
-#include <chrono>
-#include <concepts>
 #include <cstring>
-#include <limits>
-#include <memory>
-#include <sstream>
 #include <utility>
 
+#include "common/codec.hpp"
 #include "dew/result_io.hpp"
 #include "net/socket.hpp"
 #include "phase/representative_sweep.hpp"
@@ -19,39 +14,14 @@ namespace dew::net {
 
 namespace {
 
-void put_le(std::string& out, std::uint64_t value, std::size_t width) {
-    char bytes[8];
-    for (std::size_t i = 0; i < width; ++i) {
-        bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
-    }
-    out.append(bytes, width);
-}
-
-std::uint64_t load_le(const char* bytes, std::size_t width) {
-    std::uint64_t value = 0;
-    for (std::size_t i = width; i-- > 0;) {
-        value = (value << 8) | static_cast<unsigned char>(bytes[i]);
-    }
-    return value;
-}
+using codec::encode;
+using codec::put_le;
+using codec::unbounded;
 
 // --- Field lists --------------------------------------------------------------
-// Every payload is one field list: a generic lambda `(v, m)` that names
-// each field once, in wire order, with its width and its bound.  `writer`
-// walks it to encode (`m` const) and `cursor` to decode.  The kinds:
-//   u32 / u64 / f64          little-endian; u64 also carries size_t and the
-//                            i64 deadline
-//   boolean                  one byte, 0 or 1
-//   enum8(label, e, max)     one byte, at most `max`
-//   bytes(label, s, limit)   a length as wide as `limit`'s type and at most
-//                            `limit`, then that many bytes
-//   list(label, c, limit, f) a count as wide as `limit`'s type and at most
-//                            `limit`, then each element walked by `f`
-//   optional(label, p, f)    a presence byte, then `*p` walked by `f`
-//   sweep_record(label, s)   the self-delimiting "DSWR" record
-
-template <class T>
-constexpr T unbounded = std::numeric_limits<T>::max();
+// Every payload is one field list (common/codec.hpp) that codec::writer
+// walks to encode and codec::cursor<wire_error> to decode.  Decoding offsets
+// are frame-relative: payload byte 0 sits at frame byte frame_header_bytes.
 
 // Counts and lengths past these bounds are garbage framing, not big
 // messages: the paper's whole Table-1 grid is 7 x 4, a registry snapshot
@@ -63,210 +33,10 @@ constexpr std::uint32_t max_metric_entries = 1u << 16;
 constexpr std::uint32_t max_metric_name_bytes = 1u << 12;
 constexpr std::uint32_t max_event_entries = 1u << 20;
 
-template <class T, class F> std::size_t min_wire_bytes(F fields);
-
-struct writer {
-    std::string out;
-
-    void u32(const char*, std::uint32_t value) { put_le(out, value, 4); }
-    void u64(const char*, std::uint64_t value) { put_le(out, value, 8); }
-    void u64(const char*, std::chrono::nanoseconds value) {
-        put_le(out, static_cast<std::uint64_t>(value.count()), 8);
-    }
-    void f64(const char*, double value) {
-        put_le(out, std::bit_cast<std::uint64_t>(value), 8);
-    }
-    void boolean(const char*, bool value) { put_le(out, value ? 1 : 0, 1); }
-    template <class E, class Max> void enum8(const char*, E value, Max) {
-        put_le(out, static_cast<std::uint8_t>(value), 1);
-    }
-    template <class Limit>
-    void bytes(const char*, std::string_view value, Limit) {
-        put_le(out, value.size(), sizeof(Limit));
-        out.append(value);
-    }
-    template <class Limit, class C, class F>
-    void list(const char*, const C& values, Limit, F fields) {
-        put_le(out, values.size(), sizeof(Limit));
-        out.reserve(out.size() + values.size() *
-                                     min_wire_bytes<typename C::value_type>(
-                                         fields));
-        for (const auto& value : values) {
-            fields(*this, value);
-        }
-    }
-    template <class T, class F>
-    void optional(const char*, const std::shared_ptr<const T>& value,
-                  F fields) {
-        put_le(out, value ? 1 : 0, 1);
-        if (value) {
-            fields(*this, *value);
-        }
-    }
-    void sweep_record(const char*, const core::sweep_result& sweep) {
-        std::ostringstream record;
-        core::write_binary_result(record, sweep);
-        out.append(record.str());
-    }
-};
-
-template <class M, class F> std::string encode(const M& message, F fields) {
-    writer w;
-    fields(w, message);
-    return std::move(w.out);
-}
-
-// The least wire size of a list element: the encoding of a default one,
-// whose every length, count and presence byte is zero.
-template <class T, class F> std::size_t min_wire_bytes(F fields) {
-    static const std::size_t least = encode(T{}, fields).size();
-    return least;
-}
-
-// Bounds-checked decoder.  Offsets are frame-relative: payload byte 0 sits
-// at frame byte frame_header_bytes, and every fault names the field and
-// the absolute frame offset — the same discipline as dew::result_io's
-// payload_reader.
-class cursor {
-public:
-    cursor(std::string_view payload, const char* message_name)
-        : bytes_{payload}, name_{message_name} {}
-
-    void u32(const char* field, std::uint32_t& value) {
-        value = static_cast<std::uint32_t>(get_le(4, field));
-    }
-    template <std::unsigned_integral T> void u64(const char* field, T& value) {
-        value = static_cast<T>(get_le(8, field));
-    }
-    void u64(const char* field, std::chrono::nanoseconds& value) {
-        value = std::chrono::nanoseconds{
-            static_cast<std::int64_t>(get_le(8, field))};
-    }
-    void f64(const char* field, double& value) {
-        value = std::bit_cast<double>(get_le(8, field));
-    }
-    void boolean(const char* field, bool& value) { enum8(field, value, 1); }
-    template <class E, class Max>
-    void enum8(const char* field, E& value, Max max) {
-        const std::uint64_t raw = get_le(1, field);
-        if (raw > static_cast<std::uint64_t>(max)) {
-            fail(std::string{field} + " " + std::to_string(raw) +
-                 at(offset() - 1) + " is out of range (max " +
-                 std::to_string(static_cast<std::uint64_t>(max)) + ")");
-        }
-        value = static_cast<E>(raw);
-    }
-    template <class Limit>
-    void bytes(const char* field, std::string& value, Limit limit) {
-        const std::uint64_t length = get_count(field, limit, 1);
-        value.assign(bytes_.substr(position_, length));
-        position_ += length;
-    }
-    template <class Limit, class C, class F>
-    void list(const char* field, C& values, Limit limit, F fields) {
-        const std::uint64_t count = get_count(
-            field, limit, min_wire_bytes<typename C::value_type>(fields));
-        values.clear(); // a default service_request carries default grids
-        values.reserve(static_cast<std::size_t>(count));
-        for (std::uint64_t i = 0; i < count; ++i) {
-            fields(*this, values.emplace_back());
-        }
-    }
-    template <class T, class F>
-    void optional(const char* field, std::shared_ptr<const T>& value,
-                  F fields) {
-        bool present = false;
-        boolean(field, present);
-        if (present) {
-            T decoded{};
-            fields(*this, decoded);
-            value = std::make_shared<const T>(std::move(decoded));
-        }
-    }
-    void sweep_record(const char* field, core::sweep_result& sweep) {
-        // The record's own reader reports record-relative offsets, so
-        // re-anchor them to the frame.
-        const std::uint64_t record_at = offset();
-        std::istringstream in{std::string{bytes_.substr(position_)}};
-        try {
-            sweep = core::read_binary_result(in);
-        } catch (const std::runtime_error& fault) {
-            fail(std::string{field} + " starting" + at(record_at) + ": " +
-                 fault.what());
-        }
-        position_ += static_cast<std::size_t>(in.tellg());
-    }
-
-    // Every decoder's last step: the declared payload and the decoded
-    // structure must agree exactly (trailing bytes are corruption, same as
-    // the "DSWR" reader).
-    void finish() const {
-        if (position_ != bytes_.size()) {
-            throw wire_error{std::string{name_} + " payload is " +
-                             std::to_string(bytes_.size()) +
-                             " bytes but its structure decodes " +
-                             std::to_string(position_) + ": trailing bytes" +
-                             at(offset())};
-        }
-    }
-
-private:
-    [[nodiscard]] std::uint64_t offset() const noexcept {
-        return frame_header_bytes + position_;
-    }
-    [[nodiscard]] std::size_t remaining() const noexcept {
-        return bytes_.size() - position_;
-    }
-    static std::string at(std::uint64_t offset) {
-        return " at byte offset " + std::to_string(offset);
-    }
-    [[noreturn]] void fail(const std::string& what) const {
-        throw wire_error{std::string{name_} + " payload: " + what};
-    }
-    [[noreturn]] void truncated(const std::string& what) const {
-        throw wire_error{"truncated " + std::string{name_} + " payload: " +
-                         what + " but the payload ends" +
-                         at(frame_header_bytes + bytes_.size())};
-    }
-
-    std::uint64_t get_le(std::size_t width, const char* field) {
-        if (remaining() < width) {
-            truncated(std::string{field} + " needs " + std::to_string(width) +
-                      " bytes" + at(offset()));
-        }
-        const std::uint64_t value = load_le(bytes_.data() + position_, width);
-        position_ += width;
-        return value;
-    }
-    // A length or count as wide as Limit, at most `limit`, whose entries
-    // of at least `least` bytes fit in the rest of the payload.  Checked
-    // before anything is reserved, so a forged count can neither wrap a
-    // product nor reserve more than the frame carries.
-    template <class Limit>
-    std::uint64_t get_count(const char* field, Limit limit, std::size_t least) {
-        const std::uint64_t count = get_le(sizeof(Limit), field);
-        if (count > limit || count > remaining() / least) {
-            const std::string what = std::string{field} + " " +
-                                     std::to_string(count) +
-                                     at(offset() - sizeof(Limit));
-            if (count > limit) {
-                fail("implausible " + what + " (limit " +
-                     std::to_string(limit) + ")");
-            }
-            truncated(what + " needs " + std::to_string(least) +
-                      " bytes per entry");
-        }
-        return count;
-    }
-
-    std::string_view bytes_;
-    const char* name_;
-    std::size_t position_{0};
-};
-
+// Every decoder consumes its whole payload.
 template <class M, class F>
 M decode(std::string_view payload, const char* name, F fields) {
-    cursor in{payload, name};
+    codec::cursor<wire_error> in{payload, name, frame_header_bytes};
     M message{};
     fields(in, message);
     in.finish();
@@ -352,8 +122,8 @@ constexpr auto estimate_fields = [](auto& v, auto& m) {
            });
 };
 
-// The exact sweep travels as its "DSWR" record; the estimate as its
-// per-configuration numbers and accuracy statement.
+// The exact sweep travels as its "DSWR" record (dew/result_io.hpp); the
+// estimate as its per-configuration numbers and accuracy statement.
 constexpr auto result_fields = [](auto& v, auto& m) {
     v.boolean("cache_hit", m.cache_hit);
     v.boolean("coalesced", m.coalesced);
@@ -362,9 +132,7 @@ constexpr auto result_fields = [](auto& v, auto& m) {
     v.boolean("degraded", m.degraded);
     v.u32("flight_retries", m.flight_retries);
     v.f64("max_abs_error_pp", m.max_abs_error_pp);
-    v.optional("has sweep", m.sweep, [](auto& e, auto& sweep) {
-        e.sweep_record("sweep record", sweep);
-    });
+    v.optional("has sweep", m.sweep, core::sweep_fields);
     v.optional("has estimate", m.estimate, estimate_fields);
 };
 
@@ -459,10 +227,10 @@ std::string encode_frame(message_type type, std::uint64_t id,
     std::string out;
     out.reserve(frame_header_bytes + payload.size());
     out.append(frame_magic, sizeof(frame_magic));
-    put_le(out, wire_version, 4);
-    put_le(out, static_cast<std::uint8_t>(type), 1);
-    put_le(out, id, 8);
-    put_le(out, payload.size(), 8);
+    put_le<4>(out, wire_version);
+    put_le<1>(out, static_cast<std::uint8_t>(type));
+    put_le<8>(out, id);
+    put_le<8>(out, payload.size());
     out.append(payload);
     return out;
 }
@@ -478,7 +246,7 @@ frame_header parse_header(std::string_view bytes) {
         throw wire_error{
             "bad frame magic at byte offset 0 (want \"DSNW\")"};
     }
-    const std::uint64_t version = load_le(bytes.data() + 4, 4);
+    const std::uint64_t version = codec::load_le<4>(bytes.data() + 4);
     if (version != wire_version) {
         throw wire_error{"unsupported wire version " +
                          std::to_string(version) + " at byte offset 4"};
@@ -490,8 +258,8 @@ frame_header parse_header(std::string_view bytes) {
         throw wire_error{"unknown message type " + std::to_string(raw_type) +
                          " at byte offset 8"};
     }
-    header.id = load_le(bytes.data() + 9, 8);
-    header.payload_bytes = load_le(bytes.data() + 17, 8);
+    header.id = codec::load_le<8>(bytes.data() + 9);
+    header.payload_bytes = codec::load_le<8>(bytes.data() + 17);
     if (header.payload_bytes > max_frame_payload) {
         throw wire_error{"implausible payload size " +
                          std::to_string(header.payload_bytes) +
@@ -594,33 +362,35 @@ std::string encode_error(const error_message& message) {
     return encode(message, error_fields);
 }
 error_message decode_error(std::string_view payload) {
-    return decode<error_message>(payload, "error", error_fields);
+    return decode<error_message>(payload, "error payload", error_fields);
 }
 
 std::string encode_records(const trace::mem_trace& records) {
     return encode(records, records_fields);
 }
 trace::mem_trace decode_records(std::string_view payload) {
-    return decode<trace::mem_trace>(payload, "register_trace", records_fields);
+    return decode<trace::mem_trace>(payload, "register_trace payload",
+                                    records_fields);
 }
 
 std::string encode_digest(const trace::trace_digest& digest) {
     return encode(digest, digest_fields);
 }
 trace::trace_digest decode_digest(std::string_view payload) {
-    return decode<trace::trace_digest>(payload, "digest", digest_fields);
+    return decode<trace::trace_digest>(payload, "digest payload",
+                                       digest_fields);
 }
 
 std::string encode_flag(bool value) { return encode(value, flag_fields); }
 bool decode_flag(std::string_view payload) {
-    return decode<bool>(payload, "flag", flag_fields);
+    return decode<bool>(payload, "flag payload", flag_fields);
 }
 
 std::string encode_cancel_target(std::uint64_t submit_id) {
     return encode(submit_id, cancel_fields);
 }
 std::uint64_t decode_cancel_target(std::string_view payload) {
-    return decode<std::uint64_t>(payload, "cancel", cancel_fields);
+    return decode<std::uint64_t>(payload, "cancel payload", cancel_fields);
 }
 
 std::string encode_submit(const submit_message& message) {
@@ -634,21 +404,22 @@ std::string encode_submit(const submit_message& message) {
     return encode(message, submit_fields);
 }
 submit_message decode_submit(std::string_view payload) {
-    return decode<submit_message>(payload, "submit", submit_fields);
+    return decode<submit_message>(payload, "submit payload", submit_fields);
 }
 
 std::string encode_result(const serve::service_result& result) {
     return encode(result, result_fields);
 }
 serve::service_result decode_result(std::string_view payload) {
-    return decode<serve::service_result>(payload, "result", result_fields);
+    return decode<serve::service_result>(payload, "result payload",
+                                         result_fields);
 }
 
 std::string encode_metrics(const std::vector<obs::metric>& metrics) {
     return encode(metrics, metrics_fields);
 }
 std::vector<obs::metric> decode_metrics(std::string_view payload) {
-    return decode<std::vector<obs::metric>>(payload, "metrics",
+    return decode<std::vector<obs::metric>>(payload, "metrics payload",
                                             metrics_fields);
 }
 
@@ -656,7 +427,7 @@ std::string encode_events(const std::vector<obs::request_event>& events) {
     return encode(events, events_fields);
 }
 std::vector<obs::request_event> decode_events(std::string_view payload) {
-    return decode<std::vector<obs::request_event>>(payload, "events",
+    return decode<std::vector<obs::request_event>>(payload, "events payload",
                                                    events_fields);
 }
 
@@ -670,7 +441,7 @@ std::string encode_cache_load(serve::load_mode mode,
     return encode(view, cache_load_fields);
 }
 cache_load_message decode_cache_load(std::string_view payload) {
-    return decode<cache_load_message>(payload, "cache_load",
+    return decode<cache_load_message>(payload, "cache_load payload",
                                       cache_load_fields);
 }
 
@@ -678,7 +449,7 @@ std::string encode_load_report(const serve::cache_load_report& report) {
     return encode(report, load_report_fields);
 }
 serve::cache_load_report decode_load_report(std::string_view payload) {
-    return decode<serve::cache_load_report>(payload, "cache_loaded",
+    return decode<serve::cache_load_report>(payload, "cache_loaded payload",
                                             load_report_fields);
 }
 

@@ -11,16 +11,17 @@
 //   payload       payload_bytes bytes, layout per message type (wire.cpp)
 //
 // Each payload layout is one field list in wire.cpp that both the encoder
-// and the decoder walk, so the two cannot disagree.  The decode path
-// follows the hardened "DSWR"/"DSCF" discipline of dew::result_io and
-// serve::cache: a truncated buffer, a bad magic or version, an unknown
-// type, an implausible field, or a payload whose size disagrees with its
-// decoded structure — short *or* over-long — throws net::wire_error naming
-// the field and the byte offset of the fault (payload offsets are
-// frame-relative: payload byte 0 is frame byte 25).  A decoder never
-// returns a partial message.  The test suite cuts every golden payload
-// (tests/net/golden_frames.hpp) at every byte and expects a precise reject
-// at each.
+// and the decoder walk, so the two cannot disagree; the `result` payload's
+// exact sweep is the "DSWR" record's own field list (dew/result_io.hpp),
+// walked in place.  All of them run on the codec the "DSCF" cache file
+// uses too (common/codec.hpp): a truncated buffer, a bad magic or version,
+// an unknown type, an implausible field, or a payload whose size disagrees
+// with its decoded structure — short *or* over-long — throws
+// net::wire_error naming the field and the byte offset of the fault
+// (payload offsets are frame-relative: payload byte 0 is frame byte 25),
+// inside the DSWR record too.  A decoder never returns a partial message.
+// The test suite cuts every golden payload (tests/net/golden_frames.hpp)
+// at every byte and expects a precise reject at each.
 //
 // Fault mapping: a request that fails server-side is answered by an `error`
 // frame whose fault_code round-trips the exception's type, so
@@ -234,7 +235,9 @@ std::string encode_events(const std::vector<obs::request_event>& events);
 decode_events(std::string_view payload);
 
 // cache_load: load mode + the "DSCF" cache-file image (the image itself is
-// validated by serve::result_cache::load, checksums and all).
+// validated by serve::result_cache::load, checksums and all; a damaged
+// image is a std::runtime_error there, so it comes back as
+// fault_code::runtime, never as a protocol fault).
 std::string encode_cache_load(serve::load_mode mode,
                               std::string_view cache_file);
 struct cache_load_message {

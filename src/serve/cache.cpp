@@ -1,29 +1,24 @@
 #include "serve/cache.hpp"
 
-#include <array>
 #include <bit>
-#include <cstring>
-#include <istream>
-#include <iterator>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "common/bits.hpp"
-#include "common/io.hpp"
+#include "common/codec.hpp"
 #include "dew/result_io.hpp"
 
 namespace dew::serve {
 
-// Cache file layout, version 2 (all integers little-endian):
+// Cache file layout, version 2 (all integers little-endian), walked by the
+// shared field-list codec (common/codec.hpp):
 //   magic   4 bytes  "DSCF"
 //   version u32      currently 2
 //   count   u64      number of entries
 //   entries count x { key 4 x u64 (trace digest words, fingerprint words),
-//                     one dew::core result record ("DSWR", self-delimiting),
+//                     one "DSWR" sweep record (dew/result_io.hpp),
 //                     checksum u64 of this entry's key + record bytes }
 //   footer  u64      checksum of every preceding byte of the file
 // The per-entry checksums are what make salvage loading safe: an entry
@@ -34,10 +29,6 @@ namespace {
 
 constexpr char cache_magic[4] = {'D', 'S', 'C', 'F'};
 constexpr std::uint32_t cache_version = 2;
-
-// Little-endian writers shared with every other binary format.
-using dew::put_u32_le;
-using dew::put_u64_le;
 
 // FNV-1a over the bytes, splitmix-finalised so short/regular inputs still
 // avalanche.  Not cryptographic — it detects truncation and bit rot, not
@@ -51,21 +42,16 @@ std::uint64_t checksum64(std::string_view data) noexcept {
     return mix64(hash);
 }
 
-// `where` names the field and, for fixed-offset header fields, its byte
-// offset; entry-relative faults are located by the entry ordinal the
-// caller prefixes.
-std::uint64_t get_u64(std::istream& in, const char* where) {
-    std::array<char, 8> bytes{};
-    in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (in.gcount() != static_cast<std::streamsize>(bytes.size())) {
-        throw std::runtime_error{"truncated cache file: " +
-                                 std::string{where} + " needs 8 bytes"};
-    }
-    std::uint64_t value = 0;
-    for (std::size_t i = 8; i-- > 0;) {
-        value = (value << 8) | static_cast<unsigned char>(bytes[i]);
-    }
-    return value;
+// One entry's key and record: the bytes its checksum covers.  Entries are
+// walked one at a time, not as a list: a count checked up front would
+// reject a torn file whose verified prefix salvage must keep.
+template <class V, class K, class S>
+void entry_fields(V& v, K& key, S& sweep) {
+    v.u64("trace digest word 0", key.trace.words[0]);
+    v.u64("trace digest word 1", key.trace.words[1]);
+    v.u64("request fingerprint word 0", key.request[0]);
+    v.u64("request fingerprint word 1", key.request[1]);
+    core::sweep_fields(v, sweep);
 }
 
 } // namespace
@@ -156,7 +142,7 @@ void result_cache::clear() {
     }
 }
 
-void result_cache::save(std::ostream& out) const {
+std::string result_cache::save() const {
     // Snapshot the exact entries shard by shard; persistence is an offline
     // operation, so briefly holding each shard lock in turn is fine.
     std::vector<std::pair<request_key, std::shared_ptr<const cached_value>>>
@@ -171,37 +157,24 @@ void result_cache::save(std::ostream& out) const {
             }
         }
     }
-    // Stage the whole file so the footer checksum can cover every byte
-    // before it; the staging cost is the file itself, which persistence
-    // pays anyway.
-    std::ostringstream buffer;
-    buffer.write(cache_magic, sizeof(cache_magic));
-    put_u32_le(buffer, cache_version);
-    put_u64_le(buffer, entries.size());
+    codec::writer w;
+    w.magic(cache_magic, cache_version);
+    w.u64("entry count", entries.size());
     for (const auto& [key, value] : entries) {
-        std::ostringstream entry;
-        put_u64_le(entry, key.trace.words[0]);
-        put_u64_le(entry, key.trace.words[1]);
-        put_u64_le(entry, key.request[0]);
-        put_u64_le(entry, key.request[1]);
-        core::write_binary_result(entry, *value->sweep);
-        const std::string bytes = entry.str();
-        buffer.write(bytes.data(),
-                     static_cast<std::streamsize>(bytes.size()));
-        put_u64_le(buffer, checksum64(bytes));
+        const std::size_t start = w.out.size();
+        entry_fields(w, key, *value->sweep);
+        w.u64("entry checksum",
+              checksum64(std::string_view{w.out}.substr(start)));
     }
-    const std::string body = buffer.str();
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    put_u64_le(out, checksum64(body));
+    w.u64("footer checksum", checksum64(w.out));
+    return std::move(w.out);
 }
 
-cache_load_report result_cache::load(std::istream& in, load_mode mode) {
-    // The whole stream is read up front: salvage needs byte-exact fault
-    // offsets, strict needs all-or-nothing semantics, and the footer
-    // checksum covers every byte — all three want a resident image.
-    const std::string bytes{std::istreambuf_iterator<char>{in},
-                            std::istreambuf_iterator<char>{}};
-    const std::string_view view{bytes};
+cache_load_report result_cache::load(std::string_view image,
+                                     load_mode mode) {
+    // One resident image: salvage needs byte-exact fault offsets, strict
+    // needs all-or-nothing semantics, and the footer checksum covers every
+    // byte.
     cache_load_report report;
     // Entries parse and verify into here first; nothing touches the cache
     // until the mode's acceptance rule has run (strict: the whole file;
@@ -220,33 +193,12 @@ cache_load_report result_cache::load(std::istream& in, load_mode mode) {
         report.checksum_ok = false;
     };
 
-    std::istringstream parse{bytes};
+    codec::cursor<std::runtime_error> in{image, "cache file"};
     std::uint64_t count = 0;
     bool header_ok = false;
     try {
-        std::array<char, 8> header{};
-        parse.read(header.data(),
-                   static_cast<std::streamsize>(header.size()));
-        if (parse.gcount() != static_cast<std::streamsize>(header.size())) {
-            throw std::runtime_error{
-                "truncated cache file: header needs 8 bytes, stream ended "
-                "at byte offset " + std::to_string(parse.gcount())};
-        }
-        if (std::memcmp(header.data(), cache_magic, sizeof(cache_magic)) !=
-            0) {
-            throw std::runtime_error{
-                "bad cache file magic at byte offset 0 (want \"DSCF\")"};
-        }
-        std::uint32_t version = 0;
-        for (std::size_t i = 8; i-- > 4;) {
-            version = (version << 8) | static_cast<unsigned char>(header[i]);
-        }
-        if (version != cache_version) {
-            throw std::runtime_error{"unsupported cache file version " +
-                                     std::to_string(version) +
-                                     " at byte offset 4"};
-        }
-        count = get_u64(parse, "entry count at byte offset 8");
+        in.magic(cache_magic, cache_version);
+        in.u64("entry count", count);
         header_ok = true;
     } catch (const std::runtime_error& error) {
         fail(0, error.what());
@@ -254,35 +206,27 @@ cache_load_report result_cache::load(std::istream& in, load_mode mode) {
 
     if (header_ok) {
         for (std::uint64_t entry = 0; entry < count; ++entry) {
-            const std::uint64_t start =
-                static_cast<std::uint64_t>(parse.tellg());
+            const std::uint64_t start = in.offset();
             try {
                 request_key key;
-                key.trace.words[0] = get_u64(parse, "trace digest");
-                key.trace.words[1] = get_u64(parse, "trace digest");
-                key.request[0] = get_u64(parse, "request fingerprint");
-                key.request[1] = get_u64(parse, "request fingerprint");
-                auto value = std::make_shared<cached_value>();
-                value->sweep = std::make_shared<const core::sweep_result>(
-                    core::read_binary_result(parse));
-                const std::uint64_t end =
-                    static_cast<std::uint64_t>(parse.tellg());
-                const std::uint64_t want =
-                    get_u64(parse, "entry checksum");
-                const std::uint64_t got = checksum64(
-                    view.substr(static_cast<std::size_t>(start),
-                                static_cast<std::size_t>(end - start)));
-                if (want != got) {
+                core::sweep_result sweep;
+                entry_fields(in, key, sweep);
+                const std::uint64_t end = in.offset();
+                std::uint64_t want = 0;
+                in.u64("entry checksum", want);
+                if (want != checksum64(image.substr(start, end - start))) {
                     throw std::runtime_error{
                         "entry checksum mismatch over bytes [" +
                         std::to_string(start) + ", " + std::to_string(end) +
-                        ")"};
+                        ") at byte offset " + std::to_string(end)};
                 }
+                auto value = std::make_shared<cached_value>();
+                value->sweep = std::make_shared<const core::sweep_result>(
+                    std::move(sweep));
                 staged.emplace_back(key, std::move(value));
             } catch (const std::runtime_error& error) {
-                // Offsets of later entries depend on variable-length
-                // payloads; the entry ordinal locates the fault, the
-                // nested reader the byte.
+                // The entry ordinal locates the fault among variable-length
+                // entries, the cursor's message the byte.
                 fail(start, "cache file entry " + std::to_string(entry) +
                                 " of " + std::to_string(count) + ": " +
                                 error.what());
@@ -293,13 +237,11 @@ cache_load_report result_cache::load(std::istream& in, load_mode mode) {
 
     if (header_ok && !report.salvaged) {
         // Footer: 8 bytes checksumming everything before them.
-        const std::uint64_t footer_at =
-            static_cast<std::uint64_t>(parse.tellg());
+        const std::uint64_t footer_at = in.offset();
         try {
-            const std::uint64_t want = get_u64(parse, "footer checksum");
-            const std::uint64_t got = checksum64(
-                view.substr(0, static_cast<std::size_t>(footer_at)));
-            if (want != got) {
+            std::uint64_t want = 0;
+            in.u64("footer checksum", want);
+            if (want != checksum64(image.substr(0, footer_at))) {
                 throw std::runtime_error{
                     "footer checksum mismatch at byte offset " +
                     std::to_string(footer_at) +
@@ -309,18 +251,18 @@ cache_load_report result_cache::load(std::istream& in, load_mode mode) {
         } catch (const std::runtime_error& error) {
             fail(footer_at, error.what());
         }
-        if (!report.salvaged &&
-            static_cast<std::uint64_t>(footer_at) + 8 < bytes.size()) {
+        if (!report.salvaged && !in.at_end()) {
             // Entries and footer verified but bytes follow: corruption by
-            // construction (the file is the whole stream).  Strict rejects;
+            // construction (the image is the whole file).  Strict rejects;
             // salvage keeps the verified entries and flags the tail.
             if (mode == load_mode::strict) {
                 throw std::runtime_error{
                     "over-long cache file: trailing bytes after the "
-                    "declared " + std::to_string(count) + " entries"};
+                    "declared " + std::to_string(count) +
+                    " entries at byte offset " + std::to_string(in.offset())};
             }
             report.salvaged = true;
-            report.salvaged_at = footer_at + 8;
+            report.salvaged_at = in.offset();
         }
     }
 

@@ -12,14 +12,17 @@
 // concurrent readers share one immutable object.  Hit/miss/insert/evict
 // counters are atomics readable while the cache is hot.
 //
-// Persistence reuses dew::result_io's hardened binary round trip: save()
-// writes every *exact* entry (estimates are cheap to recompute and carry
-// analysis state that is not worth freezing) and checksums each entry plus
-// the whole file.  load() is transactional in strict mode — a malformed or
-// checksum-failing file throws the byte-offset-naming errors of
-// read_binary_result and inserts NOTHING — and crash-tolerant in salvage
-// mode: every entry framed and checksummed before the first fault byte is
-// recovered, the rest reported, never a partial or unverified entry.
+// Persistence is the "DSCF" file (layout in cache.cpp), built in one
+// string and parsed from one resident image by the shared field-list codec
+// (common/codec.hpp), with every entry's answer as a "DSWR" sweep record
+// (dew/result_io.hpp).  save() writes every *exact* entry (estimates are
+// cheap to recompute and carry analysis state that is not worth freezing)
+// and checksums each entry plus the whole file.  load() is transactional
+// in strict mode — a malformed or checksum-failing image throws a
+// std::runtime_error naming the field and the byte offset, and inserts
+// NOTHING — and crash-tolerant in salvage mode: every entry framed and
+// checksummed before the first fault byte is recovered, the rest
+// reported, never a partial or unverified entry.
 #ifndef DEW_SERVE_CACHE_HPP
 #define DEW_SERVE_CACHE_HPP
 
@@ -27,9 +30,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -112,13 +116,14 @@ public:
     [[nodiscard]] std::size_t size() const;
     void clear();
 
-    // Exact entries only; format documented in cache.cpp (version 2: per-
-    // entry checksums + a whole-file footer checksum).  load() stages every
-    // entry before inserting any: strict mode is transactional (throws on
-    // any fault, cache untouched), salvage mode recovers the verified
-    // prefix and reports the rest (see load_mode / cache_load_report).
-    void save(std::ostream& out) const;
-    cache_load_report load(std::istream& in,
+    // Exact entries only, as one DSCF image (version 2: per-entry
+    // checksums + a whole-file footer checksum).  load() takes a whole
+    // image and stages every entry before inserting any: strict mode is
+    // transactional (throws on any fault, cache untouched), salvage mode
+    // recovers the verified prefix and reports the rest (see load_mode /
+    // cache_load_report).
+    [[nodiscard]] std::string save() const;
+    cache_load_report load(std::string_view image,
                            load_mode mode = load_mode::strict);
 
 private:

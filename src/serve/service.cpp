@@ -1406,12 +1406,11 @@ std::vector<obs::request_event> service::events() const {
     return state_->events->snapshot();
 }
 
-void service::save_cache(std::ostream& out) const {
-    state_->cache.save(out);
-}
+std::string service::save_cache() const { return state_->cache.save(); }
 
-cache_load_report service::load_cache(std::istream& in, load_mode mode) {
-    return state_->cache.load(in, mode);
+cache_load_report service::load_cache(std::string_view image,
+                                      load_mode mode) {
+    return state_->cache.load(image, mode);
 }
 
 } // namespace dew::serve

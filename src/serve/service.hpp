@@ -13,9 +13,9 @@
 //     how the trace was produced or how the grids were spelled.
 //   * Result cache.  A sharded FIFO-bounded map (serve/cache.hpp) answers
 //     repeated questions without touching a simulator; save_cache /
-//     load_cache persist exact entries through dew::result_io — now with
-//     per-entry and whole-file checksums and a salvage mode that recovers
-//     the verified prefix of a crash-truncated file.
+//     load_cache persist exact entries as one DSCF image of "DSWR" sweep
+//     records, with per-entry and whole-file checksums and a salvage mode
+//     that recovers the verified prefix of a crash-truncated file.
 //   * Scheduler.  submit() is async (returns a submission handle wrapping a
 //     std::future) and never simulates on the calling thread.  Identical
 //     in-flight requests coalesce into one computation — N callers, one
@@ -83,7 +83,6 @@
 #include <exception>
 #include <functional>
 #include <future>
-#include <iosfwd>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -378,12 +377,13 @@ public:
     // What the get_events wire pair ships and events_jsonl renders.
     [[nodiscard]] std::vector<obs::request_event> events() const;
 
-    // Cache persistence (serve/cache.hpp); call on a quiesced service or
-    // accept a racy-but-consistent snapshot.  load_cache in strict mode is
-    // transactional (throws, cache untouched); salvage mode recovers the
-    // verified prefix of a damaged file and reports what happened.
-    void save_cache(std::ostream& out) const;
-    cache_load_report load_cache(std::istream& in,
+    // Cache persistence as one DSCF image (serve/cache.hpp); call on a
+    // quiesced service or accept a racy-but-consistent snapshot.
+    // load_cache in strict mode is transactional (throws, cache
+    // untouched); salvage mode recovers the verified prefix of a damaged
+    // image and reports what happened.
+    [[nodiscard]] std::string save_cache() const;
+    cache_load_report load_cache(std::string_view image,
                                  load_mode mode = load_mode::strict);
 
 private:

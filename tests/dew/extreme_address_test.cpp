@@ -1,15 +1,20 @@
 // Extreme 64-bit addresses through both walks: high-half address ranges
 // must behave identically to low ones (the tag arithmetic is pure
 // shifting/masking), and the one unrepresentable block number — the
-// empty-way sentinel — must be rejected loudly instead of corrupting state.
+// empty-way sentinel — must be rejected loudly instead of corrupting state
+// or counting as a request.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
 #include <vector>
 
 #include "baseline/dinero_sim.hpp"
 #include "common/contracts.hpp"
 #include "dew/result.hpp"
+#include "dew/result_io.hpp"
 #include "dew/simulator.hpp"
+#include "dew/sweep.hpp"
 #include "trace/generator.hpp"
 
 namespace {
@@ -54,13 +59,46 @@ TYPED_TEST(ExtremeAddresses, HighHalfAddressSpaceStaysExact) {
     }
 }
 
+// Every field of a pass, as its DSWR record.
+std::string record_of(const dew_result& pass) {
+    sweep_result sweep;
+    sweep.passes.push_back(pass);
+    return encode_sweep_record(sweep);
+}
+
+// A rejected block is not a request: after each rejected access,
+// simulate_blocks and simulate_chunk the simulator reads exactly as a
+// fresh one fed only the accepted prefix.
 TYPED_TEST(ExtremeAddresses, SentinelBlockNumberRejected) {
+    constexpr std::uint64_t sentinel = ~std::uint64_t{0};
     TypeParam sim{4, 2, 1}; // block size 1: block == address
-    EXPECT_THROW(sim.access(~std::uint64_t{0}), contract_violation);
-    const std::vector<std::uint64_t> blocks{1, ~std::uint64_t{0}};
+    TypeParam reference{4, 2, 1};
+    const auto expect_prefix_only = [&](const char* step) {
+        SCOPED_TRACE(step);
+        EXPECT_EQ(sim.requests(), reference.requests());
+        EXPECT_EQ(record_of(sim.result()), record_of(reference.result()));
+    };
+
+    EXPECT_THROW(sim.access(sentinel), contract_violation);
+    expect_prefix_only("access");
+
+    const std::vector<std::uint64_t> blocks{5, sentinel, 7, 9};
     EXPECT_THROW(sim.simulate_blocks(blocks), contract_violation);
+    reference.simulate_blocks(std::span{blocks}.first(1));
+    expect_prefix_only("simulate_blocks");
+
+    const mem_trace chunk{{11, trace::access_type::read},
+                          {13, trace::access_type::read},
+                          {sentinel, trace::access_type::read},
+                          {17, trace::access_type::read}};
+    EXPECT_THROW(sim.simulate_chunk(chunk), contract_violation);
+    reference.simulate_chunk(std::span{chunk}.first(2));
+    expect_prefix_only("simulate_chunk");
+
     // One bit below the sentinel is fine.
-    EXPECT_NO_THROW(sim.access(~std::uint64_t{0} - 1));
+    EXPECT_NO_THROW(sim.access(sentinel - 1));
+    reference.access(sentinel - 1);
+    expect_prefix_only("access below the sentinel");
 }
 
 TYPED_TEST(ExtremeAddresses, TopBlocksAtWiderBlockSizesAreLegal) {

@@ -1,10 +1,11 @@
-// CSV/table serialisation of DEW results.
+// CSV/table serialisation of DEW results and the binary "DSWR" record.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "dew/result_io.hpp"
 #include "dew/simulator.hpp"
@@ -128,59 +129,50 @@ void expect_equal_results(const sweep_result& a, const sweep_result& b) {
     }
 }
 
+// One record on its own, as a whole image.
+sweep_result decode(std::string_view bytes) {
+    return decode_sweep_record(bytes);
+}
+
 TEST(ResultIo, BinaryRoundTripsEveryField) {
     const sweep_result original = make_sweep_result();
-    std::ostringstream out;
-    write_binary_result(out, original);
-    std::istringstream in{out.str()};
-    expect_equal_results(read_binary_result(in), original);
+    expect_equal_results(decode(encode_sweep_record(original)), original);
 }
 
 TEST(ResultIo, BinaryRecordsConcatenate) {
     // Trailing bytes after one record stay unread: the cache file format
     // writes records back to back.
     const sweep_result original = make_sweep_result();
-    std::ostringstream out;
-    write_binary_result(out, original);
-    write_binary_result(out, original);
-    std::istringstream in{out.str()};
-    expect_equal_results(read_binary_result(in), original);
-    expect_equal_results(read_binary_result(in), original);
-    EXPECT_EQ(in.peek(), std::istringstream::traits_type::eof());
+    const std::string bytes =
+        encode_sweep_record(original) + encode_sweep_record(original);
+    std::string_view in{bytes};
+    expect_equal_results(decode_sweep_record(in), original);
+    expect_equal_results(decode_sweep_record(in), original);
+    EXPECT_TRUE(in.empty());
 }
 
 TEST(ResultIo, BinaryRejectsBadMagicAndVersion) {
     const sweep_result original = make_sweep_result();
-    std::ostringstream out;
-    write_binary_result(out, original);
-    std::string payload = out.str();
+    const std::string payload = encode_sweep_record(original);
 
     std::string bad_magic = payload;
     bad_magic[0] = 'X';
-    std::istringstream magic_in{bad_magic};
-    EXPECT_THROW((void)read_binary_result(magic_in), std::runtime_error);
+    EXPECT_THROW((void)decode(bad_magic), std::runtime_error);
 
     std::string bad_version = payload;
     bad_version[4] = 9;
-    std::istringstream version_in{bad_version};
-    EXPECT_THROW((void)read_binary_result(version_in), std::runtime_error);
+    EXPECT_THROW((void)decode(bad_version), std::runtime_error);
 }
 
 TEST(ResultIo, BinaryRejectsTruncationAtEveryLength) {
     // No prefix of a valid record may parse: every truncation point must
     // throw (naming a byte offset), never return a silently partial result.
     const sweep_result original = make_sweep_result();
-    std::ostringstream out;
-    write_binary_result(out, original);
-    const std::string payload = out.str();
+    const std::string payload = encode_sweep_record(original);
     ASSERT_GT(payload.size(), 64u);
-    // Cutting inside the header, inside the first pass, and one byte short.
-    for (const std::size_t cut :
-         {std::size_t{0}, std::size_t{3}, std::size_t{15}, std::size_t{16},
-          std::size_t{40}, payload.size() / 2, payload.size() - 1}) {
-        std::istringstream in{payload.substr(0, cut)};
+    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
         try {
-            (void)read_binary_result(in);
+            (void)decode(std::string_view{payload}.substr(0, cut));
             FAIL() << "cut at " << cut << " parsed";
         } catch (const std::runtime_error& error) {
             EXPECT_NE(std::string{error.what()}.find("byte offset"),
@@ -194,9 +186,7 @@ TEST(ResultIo, BinaryRejectsOverLongPayload) {
     // A declared payload longer than the decoded structure is corruption:
     // the reader must not silently skip bytes it cannot attribute.
     const sweep_result original = make_sweep_result();
-    std::ostringstream out;
-    write_binary_result(out, original);
-    std::string payload = out.str();
+    std::string payload = encode_sweep_record(original);
     // Grow the declared payload length by 8 and append 8 junk bytes.
     std::uint64_t declared = 0;
     for (std::size_t i = 16; i-- > 8;) {
@@ -208,9 +198,8 @@ TEST(ResultIo, BinaryRejectsOverLongPayload) {
         payload[i] = static_cast<char>((declared >> (8 * (i - 8))) & 0xFF);
     }
     payload.append(8, '\0');
-    std::istringstream in{payload};
     try {
-        (void)read_binary_result(in);
+        (void)decode(payload);
         FAIL() << "over-long payload parsed";
     } catch (const std::runtime_error& error) {
         EXPECT_NE(std::string{error.what()}.find("over-long"),
@@ -224,17 +213,14 @@ TEST(ResultIo, BinaryRejectsOverLongPayload) {
 
 TEST(ResultIo, BinaryRejectsImplausibleFields) {
     const sweep_result original = make_sweep_result();
-    std::ostringstream out;
-    write_binary_result(out, original);
-    std::string payload = out.str();
+    std::string payload = encode_sweep_record(original);
     // Pass count lives at payload offset 16 (requests u64 + seconds u64)
     // past the 16-byte header; poison it to a value the payload cannot fit.
     const std::size_t pass_count_at = 16 + 16;
     payload[pass_count_at] = '\xFF';
     payload[pass_count_at + 1] = '\xFF';
     payload[pass_count_at + 2] = '\xFF';
-    std::istringstream in{payload};
-    EXPECT_THROW((void)read_binary_result(in), std::runtime_error);
+    EXPECT_THROW((void)decode(payload), std::runtime_error);
 }
 
 TEST(ResultIo, CountersLineIsComplete) {

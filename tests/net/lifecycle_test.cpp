@@ -12,17 +12,16 @@
 #include <cerrno>
 #include <chrono>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "dew/result_io.hpp"
 #include "dew/sweep.hpp"
 #include "net/client.hpp"
 #include "net/frame_server.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "support/bytes.hpp"
 #include "trace/digest.hpp"
 #include "trace/mediabench.hpp"
 
@@ -30,13 +29,7 @@ namespace {
 
 using namespace dew;
 using namespace dew::net;
-
-std::string sweep_bytes(core::sweep_result result) {
-    result.seconds = 0.0; // a measurement of the run, not of the answer
-    std::ostringstream out;
-    core::write_binary_result(out, result);
-    return out.str();
-}
+using test_support::sweep_bytes;
 
 TEST(Lifecycle, ClosingClientsWhoseReadersWaitInRecvIsRaceFree) {
     server srv{{}};

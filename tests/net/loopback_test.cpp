@@ -8,18 +8,17 @@
 #include <chrono>
 #include <filesystem>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "dew/result_io.hpp"
 #include "dew/sweep.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "serve/service.hpp"
+#include "support/bytes.hpp"
 #include "trace/digest.hpp"
 #include "trace/mediabench.hpp"
 
@@ -27,6 +26,7 @@ namespace {
 
 using namespace dew;
 using namespace dew::net;
+using test_support::sweep_bytes;
 
 trace::mem_trace workload(trace::mediabench_app app =
                               trace::mediabench_app::cjpeg,
@@ -42,17 +42,6 @@ serve::service_request small_request(core::sweep_engine engine,
     request.sweep.associativities = {2, 4};
     request.sweep.engine = engine;
     return request;
-}
-
-// Canonical image for bit-identity comparison.  The wall-clock `seconds`
-// field is zeroed first: it is a measurement of the run, not part of the
-// answer, and (alone in the format) legitimately differs between a served
-// and a direct computation of the same question.
-std::string sweep_bytes(core::sweep_result result) {
-    result.seconds = 0.0;
-    std::ostringstream out;
-    core::write_binary_result(out, result);
-    return out.str();
 }
 
 TEST(Loopback, PingRegisterAndHasTrace) {
@@ -334,11 +323,19 @@ TEST(Loopback, CacheImageHandsOffBetweenServers) {
     EXPECT_EQ(sweep_bytes(*result.sweep), expected_image);
 
     // A corrupted image in strict mode is rejected server-side and the
-    // typed fault comes back.
+    // typed fault comes back: a runtime fault about the image, never a
+    // protocol fault about the frame that carried it.
     std::string damaged = image;
     damaged[damaged.size() / 2] ^= 0x01;
-    EXPECT_THROW((void)cli.load_cache(serve::load_mode::strict, damaged),
-                 std::runtime_error);
+    try {
+        (void)cli.load_cache(serve::load_mode::strict, damaged);
+        ADD_FAILURE() << "a damaged cache image loaded";
+    } catch (const wire_error& fault) {
+        ADD_FAILURE() << "a damaged cache image came back as a protocol "
+                         "fault: "
+                      << fault.what();
+    } catch (const std::runtime_error&) {
+    }
 }
 
 TEST(Loopback, CorpusHydratesTracesAcrossServerRestarts) {

@@ -7,16 +7,15 @@
 
 #include <chrono>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <vector>
 
-#include "dew/result_io.hpp"
 #include "dew/sweep.hpp"
 #include "net/router.hpp"
 #include "net/server.hpp"
 #include "obs/recorder.hpp"
 #include "serve/service.hpp"
+#include "support/bytes.hpp"
 #include "trace/digest.hpp"
 #include "trace/mediabench.hpp"
 
@@ -24,6 +23,7 @@ namespace {
 
 using namespace dew;
 using namespace dew::net;
+using test_support::sweep_bytes;
 
 trace::mem_trace workload() {
     return trace::make_mediabench_trace(trace::mediabench_app::cjpeg, 3000);
@@ -40,15 +40,6 @@ serve::service_request request_number(std::size_t index) {
     request.sweep.associativities = {2, 4};
     request.sweep.options.mre_depth = 1 + static_cast<std::uint32_t>(index);
     return request;
-}
-
-// Canonical image for bit-identity comparison; wall-clock seconds zeroed
-// (it is a measurement, not part of the answer).
-std::string sweep_bytes(core::sweep_result result) {
-    result.seconds = 0.0;
-    std::ostringstream out;
-    core::write_binary_result(out, result);
-    return out.str();
 }
 
 std::vector<obs::span_event> spans_named(const char* name) {

@@ -13,17 +13,16 @@
 #include <deque>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "dew/result_io.hpp"
 #include "dew/sweep.hpp"
 #include "net/client.hpp"
 #include "net/router_server.hpp"
 #include "net/server.hpp"
+#include "support/bytes.hpp"
 #include "trace/digest.hpp"
 #include "trace/mediabench.hpp"
 
@@ -31,6 +30,7 @@ namespace {
 
 using namespace dew;
 using namespace dew::net;
+using test_support::sweep_bytes;
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define DEW_SOAK_SANITIZED 1
@@ -73,13 +73,6 @@ process_sample sample_process() {
         status.ignore(1 << 12, '\n');
     }
     return out;
-}
-
-std::string sweep_bytes(core::sweep_result result) {
-    result.seconds = 0.0; // a measurement of the run, not of the answer
-    std::ostringstream out;
-    core::write_binary_result(out, result);
-    return out.str();
 }
 
 // Eight distinct small questions over one trace, with their direct answers.

@@ -8,7 +8,6 @@
 
 #include <iterator>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -16,12 +15,12 @@
 #include <vector>
 
 #include "dew/result_io.hpp"
-
 #include "dew/sweep.hpp"
 #include "net/golden_frames.hpp"
 #include "net/wire.hpp"
 #include "phase/representative_sweep.hpp"
 #include "serve/service.hpp"
+#include "support/bytes.hpp"
 #include "trace/fault.hpp"
 #include "trace/mediabench.hpp"
 
@@ -29,6 +28,7 @@ namespace {
 
 using namespace dew;
 using namespace dew::net;
+using test_support::to_hex;
 
 // --- Sample messages ---------------------------------------------------------
 
@@ -200,24 +200,6 @@ sample_requests() {
     return {{"sample_request", sample_request()}, {"exact_request", exact}};
 }
 
-std::string to_hex(std::string_view bytes) {
-    static constexpr char digits[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(2 * bytes.size());
-    for (const char c : bytes) {
-        const auto byte = static_cast<unsigned char>(c);
-        out.push_back(digits[byte >> 4]);
-        out.push_back(digits[byte & 0xF]);
-    }
-    return out;
-}
-
-std::string sweep_bytes(const core::sweep_result& result) {
-    std::ostringstream out;
-    core::write_binary_result(out, result);
-    return out.str();
-}
-
 // --- Round trips -------------------------------------------------------------
 
 TEST(Wire, FrameRoundTrips) {
@@ -302,9 +284,9 @@ TEST(Wire, ResultRoundTripsBitExactly) {
             EXPECT_EQ(back.max_abs_error_pp, result.max_abs_error_pp);
             ASSERT_EQ(back.sweep != nullptr, with_sweep);
             if (with_sweep) {
-                // Bit identity, literally: the canonical binary image.
-                EXPECT_EQ(sweep_bytes(*back.sweep),
-                          sweep_bytes(*result.sweep));
+                // Bit identity, literally: the whole record, seconds too.
+                EXPECT_EQ(core::encode_sweep_record(*back.sweep),
+                          core::encode_sweep_record(*result.sweep));
             }
             ASSERT_EQ(back.estimate != nullptr, with_estimate);
             if (with_estimate) {

@@ -3,18 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "common/bits.hpp"
 #include "dew/sweep.hpp"
 #include "serve/cache.hpp"
+#include "serve/golden_cache.hpp"
+#include "support/bytes.hpp"
 #include "trace/mediabench.hpp"
 
 namespace {
 
 using namespace dew;
 using namespace dew::serve;
+using test_support::to_hex;
 
 request_key key_of(std::uint64_t n) {
     return {{{n, n * 3 + 1}}, {mix64(n), mix64(n + 1)}};
@@ -30,6 +34,32 @@ std::shared_ptr<const cached_value> exact_value() {
         trace::make_mediabench_trace(trace::mediabench_app::cjpeg, 2000),
         request));
     return value;
+}
+
+// The golden image's two entries: a counted sweep, whose 11 counter words
+// are all non-zero, and a fast one; `seconds` pinned in both.
+void insert_golden_entries(result_cache& cache) {
+    const trace::mem_trace records =
+        trace::make_mediabench_trace(trace::mediabench_app::cjpeg, 2000);
+    core::sweep_request counted;
+    counted.max_set_exp = 3;
+    counted.block_sizes = {16};
+    counted.associativities = {2};
+    counted.instrumentation = core::sweep_instrumentation::full_counters;
+    core::sweep_request fast = counted;
+    fast.block_sizes = {32};
+    fast.associativities = {1, 4};
+    fast.instrumentation = core::sweep_instrumentation::fast;
+    for (const auto& [n, request, seconds] :
+         {std::tuple{std::uint64_t{11}, counted, 0.25},
+          std::tuple{std::uint64_t{12}, fast, 1.5}}) {
+        core::sweep_result sweep = core::run_sweep(records, request);
+        sweep.seconds = seconds;
+        auto value = std::make_shared<cached_value>();
+        value->sweep =
+            std::make_shared<const core::sweep_result>(std::move(sweep));
+        cache.insert(key_of(n), std::move(value));
+    }
 }
 
 TEST(ServeCache, HitsMissesAndEntriesAreCounted) {
@@ -95,12 +125,10 @@ TEST(ServeCache, PersistenceRoundTripsExactEntries) {
     estimated->estimated = true;
     cache.insert(key_of(3), estimated);
 
-    std::ostringstream out;
-    cache.save(out);
+    const std::string image = cache.save();
 
     result_cache restored{{4, 64}};
-    std::istringstream in{out.str()};
-    const cache_load_report report = restored.load(in);
+    const cache_load_report report = restored.load(image);
     EXPECT_EQ(report.loaded, 2u);
     EXPECT_EQ(report.skipped, 0u);
     EXPECT_FALSE(report.salvaged);
@@ -119,9 +147,7 @@ TEST(ServeCache, PersistenceRoundTripsExactEntries) {
 TEST(ServeCache, LoadRejectsMalformedPayloads) {
     result_cache cache{{4, 64}};
     cache.insert(key_of(1), exact_value());
-    std::ostringstream out;
-    cache.save(out);
-    const std::string payload = out.str();
+    const std::string payload = cache.save();
 
     // Truncations at the header, mid-key, and mid-result all throw and
     // leave no partial entry behind.
@@ -129,16 +155,15 @@ TEST(ServeCache, LoadRejectsMalformedPayloads) {
          {std::size_t{0}, std::size_t{5}, std::size_t{20},
           payload.size() / 2, payload.size() - 1}) {
         result_cache victim{{4, 64}};
-        std::istringstream in{payload.substr(0, cut)};
-        EXPECT_THROW((void)victim.load(in), std::runtime_error)
+        EXPECT_THROW((void)victim.load(payload.substr(0, cut)),
+                     std::runtime_error)
             << "cut at " << cut;
     }
 
     // Trailing garbage after the declared entries is rejected.
     result_cache victim{{4, 64}};
-    std::istringstream in{payload + "junk"};
     try {
-        (void)victim.load(in);
+        (void)victim.load(payload + "junk");
         FAIL() << "trailing bytes accepted";
     } catch (const std::runtime_error& error) {
         EXPECT_NE(std::string{error.what()}.find("over-long"),
@@ -150,8 +175,20 @@ TEST(ServeCache, LoadRejectsMalformedPayloads) {
     std::string bad = payload;
     bad[0] = 'X';
     result_cache magic_victim{{4, 64}};
-    std::istringstream magic_in{bad};
-    EXPECT_THROW((void)magic_victim.load(magic_in), std::runtime_error);
+    EXPECT_THROW((void)magic_victim.load(bad), std::runtime_error);
+}
+
+// The DSCF bytes are pinned: save() reproduces the golden image byte for
+// byte, and loading it and saving again gives the same bytes.
+TEST(ServeCache, SaveReproducesTheGoldenImage) {
+    result_cache cache{{1, 16}}; // one shard: the file order is insertion
+    insert_golden_entries(cache);
+    const std::string image = cache.save();
+    EXPECT_EQ(to_hex(image), golden::cache_image);
+
+    result_cache restored{{1, 16}};
+    EXPECT_EQ(restored.load(image).loaded, 2u);
+    EXPECT_EQ(to_hex(restored.save()), golden::cache_image);
 }
 
 // A three-entry file truncated at EVERY byte boundary: strict mode must
@@ -162,15 +199,13 @@ TEST(ServeCache, StrictLoadIsTransactionalAtEveryCutPoint) {
     for (std::uint64_t n = 1; n <= 3; ++n) {
         cache.insert(key_of(n), exact_value());
     }
-    std::ostringstream out;
-    cache.save(out);
-    const std::string payload = out.str();
+    const std::string payload = cache.save();
 
     for (std::size_t cut = 0; cut < payload.size(); ++cut) {
         result_cache victim{{2, 16}};
-        std::istringstream in{payload.substr(0, cut)};
-        EXPECT_THROW((void)victim.load(in, load_mode::strict),
-                     std::runtime_error)
+        EXPECT_THROW(
+            (void)victim.load(payload.substr(0, cut), load_mode::strict),
+            std::runtime_error)
             << "cut at " << cut;
         EXPECT_EQ(victim.size(), 0u)
             << "strict load left partial state behind at cut " << cut;
@@ -185,18 +220,16 @@ TEST(ServeCache, SalvageLoadRecoversVerifiedPrefixAtEveryCutPoint) {
     for (std::uint64_t n = 1; n <= 3; ++n) {
         cache.insert(key_of(n), exact_value());
     }
-    std::ostringstream out;
-    cache.save(out);
-    const std::string payload = out.str();
+    const std::string payload = cache.save();
     const auto reference = cache.find(key_of(1));
     ASSERT_NE(reference, nullptr);
 
     std::size_t best = 0; // recovery must be monotone in the cut point
     for (std::size_t cut = 0; cut < payload.size(); ++cut) {
         result_cache victim{{2, 16}};
-        std::istringstream in{payload.substr(0, cut)};
         cache_load_report report;
-        ASSERT_NO_THROW(report = victim.load(in, load_mode::salvage))
+        ASSERT_NO_THROW(report = victim.load(payload.substr(0, cut),
+                                             load_mode::salvage))
             << "cut at " << cut;
         EXPECT_TRUE(report.salvaged) << "cut at " << cut;
         EXPECT_FALSE(report.checksum_ok) << "cut at " << cut;
@@ -234,8 +267,7 @@ TEST(ServeCache, SalvageLoadRecoversVerifiedPrefixAtEveryCutPoint) {
 
     // The undamaged file salvages losslessly and reports clean.
     result_cache whole{{2, 16}};
-    std::istringstream in{payload};
-    const cache_load_report report = whole.load(in, load_mode::salvage);
+    const cache_load_report report = whole.load(payload, load_mode::salvage);
     EXPECT_EQ(report.loaded, 3u);
     EXPECT_FALSE(report.salvaged);
     EXPECT_TRUE(report.checksum_ok);
@@ -249,9 +281,7 @@ TEST(ServeCache, ChecksumsCatchBitRotThatStillFrames) {
     for (std::uint64_t n = 1; n <= 3; ++n) {
         cache.insert(key_of(n), exact_value());
     }
-    std::ostringstream out;
-    cache.save(out);
-    std::string payload = out.str();
+    std::string payload = cache.save();
 
     // Flip one byte in the middle of the file body (inside some entry's
     // record bytes, past the 16-byte header).
@@ -259,15 +289,13 @@ TEST(ServeCache, ChecksumsCatchBitRotThatStillFrames) {
     payload[victim_byte] = static_cast<char>(payload[victim_byte] ^ 0x40);
 
     result_cache strict_victim{{2, 16}};
-    std::istringstream strict_in{payload};
-    EXPECT_THROW((void)strict_victim.load(strict_in, load_mode::strict),
+    EXPECT_THROW((void)strict_victim.load(payload, load_mode::strict),
                  std::runtime_error);
     EXPECT_EQ(strict_victim.size(), 0u);
 
     result_cache salvage_victim{{2, 16}};
-    std::istringstream salvage_in{payload};
     const cache_load_report report =
-        salvage_victim.load(salvage_in, load_mode::salvage);
+        salvage_victim.load(payload, load_mode::salvage);
     EXPECT_TRUE(report.salvaged);
     EXPECT_LT(report.loaded, 3u);
     EXPECT_LE(report.salvaged_at, victim_byte);
@@ -279,15 +307,12 @@ TEST(ServeCache, ChecksumsCatchBitRotThatStillFrames) {
 TEST(ServeCache, FooterDamageSalvagesEverythingButReportsIt) {
     result_cache cache{{2, 16}};
     cache.insert(key_of(1), exact_value());
-    std::ostringstream out;
-    cache.save(out);
-    std::string payload = out.str();
+    std::string payload = cache.save();
     payload.back() = static_cast<char>(payload.back() ^ 0x01);
 
     result_cache strict_victim{{2, 16}};
-    std::istringstream strict_in{payload};
     try {
-        (void)strict_victim.load(strict_in, load_mode::strict);
+        (void)strict_victim.load(payload, load_mode::strict);
         FAIL() << "corrupt footer accepted";
     } catch (const std::runtime_error& error) {
         EXPECT_NE(std::string{error.what()}.find("footer"),
@@ -296,9 +321,8 @@ TEST(ServeCache, FooterDamageSalvagesEverythingButReportsIt) {
     }
 
     result_cache salvage_victim{{2, 16}};
-    std::istringstream salvage_in{payload};
     const cache_load_report report =
-        salvage_victim.load(salvage_in, load_mode::salvage);
+        salvage_victim.load(payload, load_mode::salvage);
     EXPECT_EQ(report.loaded, 1u);
     EXPECT_EQ(report.skipped, 0u);
     EXPECT_TRUE(report.salvaged);

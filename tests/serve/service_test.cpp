@@ -5,7 +5,6 @@
 
 #include <chrono>
 #include <future>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -292,7 +291,7 @@ TEST(Service, ComputationFaultsSurfaceThroughEveryFuture) {
 }
 
 TEST(Service, CachePersistsAcrossServiceInstances) {
-    std::ostringstream saved;
+    std::string saved;
     const service_request request = exact_request();
     core::sweep_result reference;
     {
@@ -301,12 +300,11 @@ TEST(Service, CachePersistsAcrossServiceInstances) {
         const service_result answer = svc.submit("cjpeg", request).get();
         reference = *answer.sweep;
         svc.drain();
-        svc.save_cache(saved);
+        saved = svc.save_cache();
     }
     service restored{};
     restored.add_trace("cjpeg", workload());
-    std::istringstream in{saved.str()};
-    const cache_load_report report = restored.load_cache(in);
+    const cache_load_report report = restored.load_cache(saved);
     EXPECT_EQ(report.loaded, 1u);
     EXPECT_EQ(report.skipped, 0u);
     EXPECT_FALSE(report.salvaged);
