@@ -446,11 +446,9 @@ struct service_measurement {
     // Robustness quantities, each measured on a dedicated small service
     // with a by-construction expected value (asserted below): half the
     // deadline wave expires → timeout_rate 0.5; every injected transient
-    // fault recovers on its first retry → retry_success_rate 1.0; every
-    // over-watermark exact request sheds → degraded_served counts them.
+    // fault recovers on its first retry → retry_success_rate 1.0.
     double timeout_rate{0.0};
     double retry_success_rate{0.0};
-    std::uint64_t degraded_served{0};
     // Warm in-process submit->get round-trip percentiles (cache-hit path),
     // the in-process analogue of the net_p*_ms fields.
     double p50_ms{0.0};
@@ -706,30 +704,6 @@ service_measurement measure_service() {
         m.retry_success_rate = faulty_stats.retry_success_rate();
         DEW_ASSERT(m.retry_success_rate == 1.0);
     }
-
-    // Degraded serves, by construction |requests| - 1: with the watermark
-    // at 1, everything submitted behind the first gated exact request
-    // sheds to the estimate tier.
-    {
-        serve::service_options degrade_options{
-            2, 256, serve::overflow_policy::degrade, {4, 64}};
-        degrade_options.degrade_watermark = 1;
-        serve::service degrade{degrade_options};
-        degrade.add_trace("micro", trace);
-        degrade.pause();
-        std::vector<serve::submission> wave;
-        for (const serve::service_request& request : requests) {
-            wave.push_back(degrade.submit("micro", request));
-        }
-        degrade.resume();
-        std::uint64_t shed = 0;
-        for (serve::submission& handle : wave) {
-            shed += handle.get().degraded ? 1 : 0;
-        }
-        DEW_ASSERT(shed == requests.size() - 1);
-        m.degraded_served = degrade.stats().degraded_served;
-        DEW_ASSERT(m.degraded_served == shed);
-    }
     return m;
 }
 
@@ -942,8 +916,6 @@ void write_micro_json() {
                  serve.coalesce_factor);
     std::fprintf(out, "  \"serve_timeout_rate\": %.4f,\n",
                  serve.timeout_rate);
-    std::fprintf(out, "  \"serve_degraded_served\": %llu,\n",
-                 static_cast<unsigned long long>(serve.degraded_served));
     std::fprintf(out, "  \"serve_retry_success_rate\": %.4f,\n",
                  serve.retry_success_rate);
     std::fprintf(out, "  \"net_requests_per_sec\": %.1f,\n",
@@ -1000,10 +972,8 @@ void write_micro_json() {
                 serve.requests_per_sec, serve.cache_hit_rate,
                 serve.coalesce_factor);
     std::printf("sweep service robustness: timeout rate %.2f (half-expired "
-                "wave), retry success rate %.2f (first-attempt faults), "
-                "%llu requests shed to the estimate tier\n",
-                serve.timeout_rate, serve.retry_success_rate,
-                static_cast<unsigned long long>(serve.degraded_served));
+                "wave), retry success rate %.2f (first-attempt faults)\n",
+                serve.timeout_rate, serve.retry_success_rate);
     std::printf("networked service (loopback): %.0f req/s pipelined, warm "
                 "round trip p50 %.3f ms / p95 %.3f ms / p99 %.3f ms\n",
                 net.requests_per_sec, net.p50_ms, net.p95_ms, net.p99_ms);

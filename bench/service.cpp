@@ -3,7 +3,7 @@
 // front end produces (many tools asking overlapping questions about a
 // shared trace corpus).
 //
-// Five workload phases over one corpus trace:
+// Four workload phases over one corpus trace:
 //   cold     every distinct request once — pure simulation, the floor;
 //   storm    every distinct request duplicated D-fold, submitted with the
 //            workers gated so all duplicates are provably in flight —
@@ -12,9 +12,6 @@
 //   deadline the cold phase with a generous deadline on every request —
 //            the deadline bookkeeping's overhead against `cold` (nothing
 //            may actually time out);
-//   degrade  the storm against an overflow_policy::degrade service with a
-//            low watermark — queued-up exact requests shed to the
-//            estimate tier instead of waiting.
 //   net      the storm and its replay again, but through the "DSNW" wire:
 //            a loopback net::server wrapping a fresh service, a
 //            net::client submitting by content digest — the delta against
@@ -70,7 +67,6 @@ struct phase_numbers {
     double cache_hit_rate{0.0};
     double coalesce_factor{0.0};
     std::uint64_t computations{0};
-    std::uint64_t degraded{0};
     std::uint64_t timeouts{0};
 };
 
@@ -98,7 +94,7 @@ phase_numbers run_phase(serve::service& service,
     phase_numbers numbers;
     for (serve::submission& handle : handles) {
         try {
-            numbers.degraded += handle.get().degraded ? 1 : 0;
+            (void)handle.get();
         } catch (const serve::service_timeout&) {
             ++numbers.timeouts;
         }
@@ -261,21 +257,6 @@ int main() {
                   std::chrono::minutes{10});
     DEW_ASSERT(deadline.timeouts == 0);
 
-    // Graceful degradation: the storm against a degrade-policy service
-    // with the watermark at 1, so everything behind the first exact
-    // request sheds to the estimate tier instead of queueing.
-    serve::service_options degrade_options{2, 256,
-                                           serve::overflow_policy::degrade,
-                                           {8, 256}};
-    degrade_options.degrade_watermark = 1;
-    serve::service degrade_service{degrade_options};
-    degrade_service.add_trace(
-        "corpus",
-        trace::make_mediabench_trace(trace::mediabench_app::cjpeg,
-                                     trace_records));
-    const phase_numbers degrade =
-        run_phase(degrade_service, requests, duplicates, /*gate=*/true);
-
     // The networked phases: a fresh service behind a loopback server, the
     // corpus shipped once over the wire, then the same gated storm and
     // warm replay as the in-process phases.
@@ -295,45 +276,39 @@ int main() {
                       /*gate=*/false);
 
     bench::text_table table{{"phase", "requests", "req/s", "hit rate",
-                             "coalesce", "computations", "degraded"}};
+                             "coalesce", "computations"}};
     table.add_row({"cold", std::to_string(requests.size()),
                    fixed(cold.requests_per_sec, 1),
                    fixed(cold.cache_hit_rate, 2),
                    fixed(cold.coalesce_factor, 2),
-                   std::to_string(cold.computations), "0"});
+                   std::to_string(cold.computations)});
     table.add_row({"storm", std::to_string(requests.size() * duplicates),
                    fixed(storm.requests_per_sec, 1),
                    fixed(storm.cache_hit_rate, 2),
                    fixed(storm.coalesce_factor, 2),
-                   std::to_string(storm.computations), "0"});
+                   std::to_string(storm.computations)});
     table.add_row({"replay", std::to_string(requests.size() * duplicates),
                    fixed(replay.requests_per_sec, 1),
                    fixed(replay.cache_hit_rate, 2),
                    fixed(replay.coalesce_factor, 2),
-                   std::to_string(replay.computations), "0"});
+                   std::to_string(replay.computations)});
     table.add_row({"deadline", std::to_string(requests.size()),
                    fixed(deadline.requests_per_sec, 1),
                    fixed(deadline.cache_hit_rate, 2),
                    fixed(deadline.coalesce_factor, 2),
-                   std::to_string(deadline.computations), "0"});
-    table.add_row({"degrade", std::to_string(requests.size() * duplicates),
-                   fixed(degrade.requests_per_sec, 1),
-                   fixed(degrade.cache_hit_rate, 2),
-                   fixed(degrade.coalesce_factor, 2),
-                   std::to_string(degrade.computations),
-                   std::to_string(degrade.degraded)});
+                   std::to_string(deadline.computations)});
     table.add_row({"net-storm",
                    std::to_string(requests.size() * duplicates),
                    fixed(net_storm.requests_per_sec, 1),
                    fixed(net_storm.cache_hit_rate, 2),
                    fixed(net_storm.coalesce_factor, 2),
-                   std::to_string(net_storm.computations), "0"});
+                   std::to_string(net_storm.computations)});
     table.add_row({"net-replay",
                    std::to_string(requests.size() * duplicates),
                    fixed(net_replay.requests_per_sec, 1),
                    fixed(net_replay.cache_hit_rate, 2),
                    fixed(net_replay.coalesce_factor, 2),
-                   std::to_string(net_replay.computations), "0"});
+                   std::to_string(net_replay.computations)});
     table.print(std::cout);
 
     const serve::service_stats stats = storm_service->stats();
@@ -347,14 +322,11 @@ int main() {
     std::printf("storm phase duplicates coalesce %.0f-to-1; replay phase "
                 "answers everything from the cache (hit rate %.2f)\n",
                 storm.coalesce_factor, replay.cache_hit_rate);
-    std::printf("deadline phase overhead vs cold: %.1f%%; degrade phase "
-                "shed %llu of %zu requests to the estimate tier\n",
+    std::printf("deadline phase overhead vs cold: %.1f%%\n",
                 cold.requests_per_sec <= 0.0
                     ? 0.0
                     : (cold.requests_per_sec - deadline.requests_per_sec) /
-                          cold.requests_per_sec * 100.0,
-                static_cast<unsigned long long>(degrade.degraded),
-                requests.size() * duplicates);
+                          cold.requests_per_sec * 100.0);
     std::printf("networked phases (loopback wire): storm %.1f req/s vs "
                 "in-process %.1f; warm replay %.1f req/s vs %.1f — the gap "
                 "is the protocol + round trip\n",

@@ -1,6 +1,6 @@
 // dew_serve — the sweep service as a command-line tool: replay a request
-// workload file against a trace corpus and watch the cache, coalescing and
-// tiers absorb it.
+// workload file against a trace corpus and watch the cache and coalescing
+// absorb it.
 //
 //   dew_serve <workload-file> [options]
 //     --workers N         worker threads of the pool     (default 2)
@@ -8,9 +8,7 @@
 //     --cache N           result-cache entry capacity    (default 1024)
 //     --deadline-ms N     per-request deadline in milliseconds (0 = none)
 //     --max-retries N     transient-fault retries per flight (default 2)
-//     --degrade           shed exact load to the estimate tier past the
-//                         queue high-watermark (overflow_policy::degrade)
-//     --save FILE         persist the exact result cache on exit
+//     --save FILE         persist the result cache on exit
 //                         (written atomically: FILE.tmp then rename)
 //     --load FILE         warm the cache from a previous --save; a damaged
 //                         file is salvaged, not fatal
@@ -56,10 +54,9 @@
 //   trace <name> <mediabench-app> <records>
 //       registers a generated trace under <name> (apps: cjpeg djpeg
 //       g721_enc g721_dec mpeg2_enc mpeg2_dec)
-//   request <trace> <mode> <engine> <max-set-exp> <blocks> <assocs> [xN]
-//       submits a sweep request (repeated N times with xN): mode is
-//       exact|representative, engine is dew|cipar, blocks/assocs are
-//       comma-separated power-of-two lists
+//   request <trace> <engine> <max-set-exp> <blocks> <assocs> [xN]
+//       submits an exact sweep request (repeated N times with xN): engine
+//       is dew|cipar, blocks/assocs are comma-separated power-of-two lists
 //   fault <count>
 //       arms the fault-injection hook: the next <count> first-attempt
 //       shard-job executions throw a transient I/O fault, exercising the
@@ -68,15 +65,15 @@
 //
 // Example:
 //   trace jpeg cjpeg 200000
-//   request jpeg exact dew 10 16,32,64 2,4 x8
+//   request jpeg dew 10 16,32,64 2,4 x8
 //   fault 2
-//   request jpeg representative dew 10 16,32,64 2,4
+//   request jpeg cipar 10 16,32,64 2,4
 //
 // All requests are submitted asynchronously in file order, then drained;
 // the summary shows how many answers came from simulation, the cache, or a
-// coalesced neighbour, how many were degraded, retried, timed out or
-// failed.  Failed requests are tallied and reported, not fatal: one bad
-// line must not discard the rest of the replay's answers.
+// coalesced neighbour, how many were retried, timed out or failed.
+// Failed requests are tallied and reported, not fatal: one bad line must
+// not discard the rest of the replay's answers.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -119,7 +116,7 @@ using namespace dew;
     std::fprintf(stderr,
                  "usage: dew_serve <workload-file> [--workers N] "
                  "[--queue N] [--cache N] [--deadline-ms N] "
-                 "[--max-retries N] [--degrade] [--save FILE] "
+                 "[--max-retries N] [--save FILE] "
                  "[--load FILE] [--connect HOST:PORT] [--trace FILE]\n"
                  "       dew_serve --demo [--connect HOST:PORT] "
                  "[--trace FILE]\n"
@@ -192,13 +189,12 @@ trace::mediabench_app parse_app(const std::string& name) {
 const char* demo_workload = R"(# built-in demo: one corpus, duplicate-heavy request storm
 trace jpeg cjpeg 200000
 trace mpeg mpeg2_enc 200000
-request jpeg exact dew 10 16,32,64 2,4 x6
-request jpeg exact cipar 10 16,32,64 2,4 x3
-request jpeg exact dew 8 16,32 2 x4
-request mpeg exact dew 10 16,32,64 2,4 x6
-request jpeg representative dew 10 16,32,64 2,4 x3
+request jpeg dew 10 16,32,64 2,4 x6
+request jpeg cipar 10 16,32,64 2,4 x3
+request jpeg dew 8 16,32 2 x4
+request mpeg dew 10 16,32,64 2,4 x6
 # respelled duplicates of the first request: same cache entries
-request jpeg exact dew 10 64,32,16 4,2 x4
+request jpeg dew 10 64,32,16 4,2 x4
 )";
 
 struct pending {
@@ -260,13 +256,17 @@ void replay(std::istream& workload, const sweep_sink& sink,
                             to_string(digest).c_str());
             } else if (directive == "request") {
                 std::string trace_name;
-                std::string mode;
                 std::string engine;
                 unsigned max_set_exp = 0;
                 std::string blocks;
                 std::string assocs;
-                if (!(fields >> trace_name >> mode >> engine >> max_set_exp >>
-                      blocks >> assocs)) {
+                // The engine is checked before the numbers, so a line still
+                // carrying a mode word ("exact dew ...") names the word.
+                if (fields >> trace_name >> engine && engine != "dew" &&
+                    engine != "cipar") {
+                    throw std::invalid_argument{"unknown engine: " + engine};
+                }
+                if (!(fields >> max_set_exp >> blocks >> assocs)) {
                     throw std::invalid_argument{
                         "malformed request directive"};
                 }
@@ -299,15 +299,6 @@ void replay(std::istream& workload, const sweep_sink& sink,
                 request.sweep.associativities = parse_list(assocs);
                 if (engine == "cipar") {
                     request.sweep.engine = core::sweep_engine::cipar;
-                } else if (engine != "dew") {
-                    throw std::invalid_argument{"unknown engine: " + engine};
-                }
-                if (mode == "representative") {
-                    request.mode = serve::service_mode::representative;
-                    request.phase.interval_records = 8192;
-                    request.warmup_records = 4096;
-                } else if (mode != "exact") {
-                    throw std::invalid_argument{"unknown mode: " + mode};
                 }
                 request.deadline = replay_opts.deadline;
                 for (std::size_t i = 0; i < repeat; ++i) {
@@ -633,8 +624,6 @@ int main(int argc, char** argv) {
             } else if (arg == "--max-retries") {
                 options.max_retries =
                     static_cast<unsigned>(std::stoul(value()));
-            } else if (arg == "--degrade") {
-                options.overflow = serve::overflow_policy::degrade;
             } else if (arg == "--save") {
                 save_path = value();
             } else if (arg == "--load") {
@@ -853,9 +842,6 @@ int main(int argc, char** argv) {
     std::size_t simulated = 0;
     std::size_t from_cache = 0;
     std::size_t from_coalescing = 0;
-    std::size_t estimates = 0;
-    std::size_t fallbacks = 0;
-    std::size_t degraded = 0;
     std::size_t timed_out = 0;
     std::size_t failed = 0;
     for (pending& p : submitted) {
@@ -866,9 +852,6 @@ int main(int argc, char** argv) {
             simulated += !answer.cache_hit && !answer.coalesced;
             from_cache += answer.cache_hit;
             from_coalescing += answer.coalesced;
-            estimates += answer.estimated;
-            fallbacks += answer.fell_back_exact;
-            degraded += answer.degraded;
         } catch (const serve::service_timeout&) {
             ++timed_out;
         } catch (const std::exception& error) {
@@ -910,9 +893,6 @@ int main(int argc, char** argv) {
                 "(factor %.2f)\n",
                 simulated, from_cache, stats.cache_hit_rate(),
                 from_coalescing, stats.coalesce_factor());
-    std::printf("  estimates served %zu (exact fallbacks %zu), degraded "
-                "%zu\n",
-                estimates, fallbacks, degraded);
     std::printf("  computations %llu over %llu shard jobs; streams built "
                 "%llu, reused %llu; evictions %llu\n",
                 static_cast<unsigned long long>(stats.computations),

@@ -7,7 +7,6 @@
 #include "common/codec.hpp"
 #include "dew/result_io.hpp"
 #include "net/socket.hpp"
-#include "phase/representative_sweep.hpp"
 #include "trace/fault.hpp"
 
 namespace dew::net {
@@ -28,7 +27,6 @@ using codec::unbounded;
 // holds tens of entries, and the server's event ring holds
 // service_options::event_ring_capacity (default 1024).
 constexpr std::uint32_t max_grid_values = 4096;
-constexpr std::uint32_t max_estimate_configs = 1u << 20;
 constexpr std::uint32_t max_metric_entries = 1u << 16;
 constexpr std::uint32_t max_metric_name_bytes = 1u << 12;
 constexpr std::uint32_t max_event_entries = 1u << 20;
@@ -72,7 +70,6 @@ constexpr auto cancel_fields = [](auto& v, auto& submit_id) {
 constexpr auto submit_fields = [](auto& v, auto& m) {
     digest_fields(v, m.digest);
     auto& r = m.request;
-    v.enum8("service mode", r.mode, serve::service_mode::representative);
     v.u64("deadline", r.deadline);
     v.u32("max_set_exp", r.sweep.max_set_exp);
     v.enum8("sweep engine", r.sweep.engine, core::sweep_engine::cipar);
@@ -86,14 +83,6 @@ constexpr auto submit_fields = [](auto& v, auto& m) {
            [](auto& e, auto& block) { e.u32("block size", block); });
     v.list("associativity count", r.sweep.associativities, max_grid_values,
            [](auto& e, auto& assoc) { e.u32("associativity", assoc); });
-    v.u64("interval_records", r.phase.interval_records);
-    v.u32("signature_block_size", r.phase.signature_block_size);
-    v.u32("signature_width", r.phase.signature_width);
-    v.u32("max_phases", r.phase.max_phases);
-    v.u32("kmeans_iterations", r.phase.kmeans_iterations);
-    v.u64("chunk_records", r.phase.chunk_records);
-    v.u64("warmup_records", r.warmup_records);
-    v.f64("error_budget_pp", r.error_budget_pp);
     // Trace context last: telemetry-only fields extend the payload, they
     // never reshuffle the identity-bearing prefix.
     v.u64("obs_trace_hi", r.obs_trace_hi);
@@ -101,39 +90,12 @@ constexpr auto submit_fields = [](auto& v, auto& m) {
     v.u64("obs_parent_span", r.obs_parent_span);
 };
 
-constexpr auto estimate_fields = [](auto& v, auto& m) {
-    v.u64("estimate total_records", m.total_records);
-    v.u64("estimate simulated_records", m.simulated_records);
-    v.f64("estimate analysis_seconds", m.analysis_seconds);
-    v.f64("estimate simulation_seconds", m.simulation_seconds);
-    v.f64("estimate calibration_seconds", m.calibration_seconds);
-    v.boolean("estimate calibrated", m.calibrated);
-    v.f64("estimate max_abs_error_pp", m.max_abs_error_pp);
-    v.list("estimate config count", m.configs, max_estimate_configs,
-           [](auto& e, auto& c) {
-               e.u32("estimate set count", c.config.set_count);
-               e.u32("estimate associativity", c.config.associativity);
-               e.u32("estimate block size", c.config.block_size);
-               e.u64("estimated misses", c.estimated_misses);
-               e.f64("estimated miss rate", c.estimated_miss_rate);
-               e.u64("exact misses", c.exact_misses);
-               e.f64("exact miss rate", c.exact_miss_rate);
-               e.f64("abs error", c.abs_error_pp);
-           });
-};
-
-// The exact sweep travels as its "DSWR" record (dew/result_io.hpp); the
-// estimate as its per-configuration numbers and accuracy statement.
+// The sweep travels as its "DSWR" record (dew/result_io.hpp).
 constexpr auto result_fields = [](auto& v, auto& m) {
     v.boolean("cache_hit", m.cache_hit);
     v.boolean("coalesced", m.coalesced);
-    v.boolean("estimated", m.estimated);
-    v.boolean("fell_back_exact", m.fell_back_exact);
-    v.boolean("degraded", m.degraded);
     v.u32("flight_retries", m.flight_retries);
-    v.f64("max_abs_error_pp", m.max_abs_error_pp);
     v.optional("has sweep", m.sweep, core::sweep_fields);
-    v.optional("has estimate", m.estimate, estimate_fields);
 };
 
 constexpr auto metrics_fields = [](auto& v, auto& metrics) {
@@ -164,7 +126,6 @@ constexpr auto events_fields = [](auto& v, auto& events) {
         e.u64("event key_hi", m.key_hi);
         e.u64("event key_lo", m.key_lo);
         e.u64("event node", m.node);
-        e.enum8("event tier", m.tier, serve::service_mode::representative);
         e.enum8("event disposition", m.disposition,
                 obs::max_event_disposition);
         e.u32("event retries", m.retries);

@@ -4,7 +4,8 @@
 //
 // Frame layout (all integers little-endian):
 //   magic         4 bytes  "DSNW"
-//   version       u32      currently 1
+//   version       u32      currently 2 (a peer of any other version is
+//                          refused at the header)
 //   type          u8       message_type
 //   id            u64      correlation id — echoed by the response frame(s)
 //   payload_bytes u64      bytes following this field (<= max_frame_payload)
@@ -59,7 +60,7 @@ public:
 };
 
 inline constexpr char frame_magic[4] = {'D', 'S', 'N', 'W'};
-inline constexpr std::uint32_t wire_version = 1;
+inline constexpr std::uint32_t wire_version = 2;
 // magic + version + type + id + payload_bytes.
 inline constexpr std::size_t frame_header_bytes = 4 + 4 + 1 + 8 + 8;
 // Upper bound a receiver enforces before allocating: a 1 GiB payload holds
@@ -205,11 +206,8 @@ struct submit_message {
 std::string encode_submit(const submit_message& message);
 [[nodiscard]] submit_message decode_submit(std::string_view payload);
 
-// result: the service_result, flags and payloads.  The exact sweep travels
-// as a self-delimiting "DSWR" record; a representative estimate travels as
-// its per-configuration numbers and accuracy statement (the phase-analysis
-// internals — signatures, clustering — stay server-side; they are analysis
-// state, not the answer).
+// result: the service_result — its flags, retry count and the sweep as a
+// self-delimiting "DSWR" record.
 std::string encode_result(const serve::service_result& result);
 [[nodiscard]] serve::service_result decode_result(std::string_view payload);
 
@@ -226,8 +224,8 @@ std::string encode_metrics(const std::vector<obs::metric>& metrics);
 decode_metrics(std::string_view payload);
 
 // events_ok: the wide per-request event ring, oldest first — per entry the
-// trace context, correlation, request key words, node id, tier,
-// disposition, retry count and the four stage timestamps/durations
+// trace context, correlation, request key words, node id, disposition,
+// retry count and the four stage timestamps/durations
 // (start/queue/run/total ns).  JSONL rendering is client-side
 // (obs::events_jsonl); the wire carries the structured record.
 std::string encode_events(const std::vector<obs::request_event>& events);

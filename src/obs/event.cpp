@@ -7,7 +7,6 @@ const char* to_string(event_disposition d) noexcept {
     case event_disposition::computed: return "computed";
     case event_disposition::cache_hit: return "cache_hit";
     case event_disposition::coalesced: return "coalesced";
-    case event_disposition::degraded: return "degraded";
     case event_disposition::timeout: return "timeout";
     case event_disposition::cancelled: return "cancelled";
     case event_disposition::failed: return "failed";

@@ -2,9 +2,9 @@
 //
 // Metrics aggregate and spans time stages, but neither answers "what
 // happened to *that* request": a wide event is one structured record per
-// settled request — its key, tier, disposition (cache hit, coalesced,
-// degraded, timed out, ...), retry count, the node that served it, and the
-// stage latencies that explain the total.  serve::service appends one to a
+// settled request — its key, disposition (cache hit, coalesced, timed
+// out, ...), retry count, the node that served it, and the stage latencies
+// that explain the total.  serve::service appends one to a
 // bounded ring at every settle point; `get_events` ships the ring over the
 // wire (src/net/wire.hpp) and `events_jsonl` (obs/export.hpp) renders it
 // one JSON object per line for offline slicing.
@@ -29,11 +29,10 @@ enum class event_disposition : std::uint8_t {
     computed = 0,  // settled by a fresh computation
     cache_hit = 1, // answered from the result cache, no flight
     coalesced = 2, // rode an existing in-flight computation
-    degraded = 3,  // served the representative fallback under pressure
-    timeout = 4,   // deadline fired before the flight settled
-    cancelled = 5, // caller abandoned the submission
-    failed = 6,    // permanent fault; error delivered
-    rejected = 7,  // refused at admission (queue full)
+    timeout = 3,   // deadline fired before the flight settled
+    cancelled = 4, // caller abandoned the submission
+    failed = 5,    // permanent fault; error delivered
+    rejected = 6,  // refused at admission (queue full)
 };
 
 inline constexpr std::uint8_t max_event_disposition =
@@ -55,7 +54,6 @@ struct request_event {
     std::uint64_t queue_ns{0};    // admission → worker pickup (0 if no flight)
     std::uint64_t run_ns{0};      // worker pickup → settle (0 if no flight)
     std::uint64_t total_ns{0};    // admission → settle
-    std::uint8_t tier{0};         // 0 = exact, 1 = representative
     event_disposition disposition{event_disposition::computed};
     std::uint32_t retries{0};     // transient-fault requeues this flight took
 

@@ -100,9 +100,7 @@ std::string events_jsonl(const std::vector<request_event>& events) {
         out += ",\"key_hi\":" + std::to_string(e.key_hi);
         out += ",\"key_lo\":" + std::to_string(e.key_lo);
         out += ",\"node\":" + std::to_string(e.node);
-        out += ",\"tier\":\"";
-        out += e.tier == 0 ? "exact" : "representative";
-        out += "\",\"disposition\":\"";
+        out += ",\"disposition\":\"";
         out += to_string(e.disposition);
         out += "\",\"retries\":" + std::to_string(e.retries);
         out += ",\"start_ns\":" + std::to_string(e.start_ns);

@@ -10,10 +10,6 @@
 
 namespace dew::phase {
 
-// Part of the service's request identity via service_request::phase —
-// dewlint's identity-completeness rule checks every field against
-// serve::fingerprint.
-// dewlint: identity-struct
 struct phase_options {
     // Records per analysis interval.  Every interval except possibly the
     // trace's tail has exactly this many records; the tail keeps its true
@@ -44,7 +40,6 @@ struct phase_options {
     // buffering knob: signatures are bucketed by absolute record index, so
     // the result is bit-identical for every chunk size (tests/phase/
     // signature_test.cpp proves chunk sizes 1/7/4096 agree).
-    // dewlint: identity-exempt chunk_records buffering knob; bit-identical results for every chunk size
     std::size_t chunk_records{std::size_t{64} * 1024};
 };
 

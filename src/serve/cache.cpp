@@ -82,7 +82,7 @@ result_cache::shard_of(const request_key& key) const noexcept {
     return *shards_[request_key_hash{}(key) & (shards_.size() - 1)];
 }
 
-std::shared_ptr<const cached_value>
+std::shared_ptr<const core::sweep_result>
 result_cache::find(const request_key& key) {
     shard& s = shard_of(key);
     const std::lock_guard<std::mutex> lock{s.mutex};
@@ -96,7 +96,7 @@ result_cache::find(const request_key& key) {
 }
 
 void result_cache::insert(const request_key& key,
-                          std::shared_ptr<const cached_value> value) {
+                          std::shared_ptr<const core::sweep_result> value) {
     shard& s = shard_of(key);
     const std::lock_guard<std::mutex> lock{s.mutex};
     const auto [it, inserted] = s.map.try_emplace(key, std::move(value));
@@ -143,18 +143,15 @@ void result_cache::clear() {
 }
 
 std::string result_cache::save() const {
-    // Snapshot the exact entries shard by shard; persistence is an offline
+    // Snapshot the entries shard by shard; persistence is an offline
     // operation, so briefly holding each shard lock in turn is fine.
-    std::vector<std::pair<request_key, std::shared_ptr<const cached_value>>>
+    std::vector<
+        std::pair<request_key, std::shared_ptr<const core::sweep_result>>>
         entries;
     for (const std::unique_ptr<shard>& s : shards_) {
         const std::lock_guard<std::mutex> lock{s->mutex};
         for (const request_key& key : s->fifo) {
-            const auto it = s->map.find(key);
-            if (it != s->map.end() && it->second->sweep &&
-                !it->second->estimated) {
-                entries.emplace_back(key, it->second);
-            }
+            entries.emplace_back(key, s->map.at(key));
         }
     }
     codec::writer w;
@@ -162,7 +159,7 @@ std::string result_cache::save() const {
     w.u64("entry count", entries.size());
     for (const auto& [key, value] : entries) {
         const std::size_t start = w.out.size();
-        entry_fields(w, key, *value->sweep);
+        entry_fields(w, key, *value);
         w.u64("entry checksum",
               checksum64(std::string_view{w.out}.substr(start)));
     }
@@ -179,7 +176,8 @@ cache_load_report result_cache::load(std::string_view image,
     // Entries parse and verify into here first; nothing touches the cache
     // until the mode's acceptance rule has run (strict: the whole file;
     // salvage: the verified prefix).
-    std::vector<std::pair<request_key, std::shared_ptr<const cached_value>>>
+    std::vector<
+        std::pair<request_key, std::shared_ptr<const core::sweep_result>>>
         staged;
 
     // In salvage mode a fault ends parsing instead of escaping; `fail`
@@ -220,10 +218,9 @@ cache_load_report result_cache::load(std::string_view image,
                         std::to_string(start) + ", " + std::to_string(end) +
                         ") at byte offset " + std::to_string(end)};
                 }
-                auto value = std::make_shared<cached_value>();
-                value->sweep = std::make_shared<const core::sweep_result>(
-                    std::move(sweep));
-                staged.emplace_back(key, std::move(value));
+                staged.emplace_back(
+                    key, std::make_shared<const core::sweep_result>(
+                             std::move(sweep)));
             } catch (const std::runtime_error& error) {
                 // The entry ordinal locates the fault among variable-length
                 // entries, the cursor's message the byte.

@@ -15,9 +15,8 @@
 // Persistence is the "DSCF" file (layout in cache.cpp), built in one
 // string and parsed from one resident image by the shared field-list codec
 // (common/codec.hpp), with every entry's answer as a "DSWR" sweep record
-// (dew/result_io.hpp).  save() writes every *exact* entry (estimates are
-// cheap to recompute and carry analysis state that is not worth freezing)
-// and checksums each entry plus the whole file.  load() is transactional
+// (dew/result_io.hpp).  save() writes every entry and checksums each entry
+// plus the whole file.  load() is transactional
 // in strict mode — a malformed or checksum-failing image throws a
 // std::runtime_error naming the field and the byte offset, and inserts
 // NOTHING — and crash-tolerant in salvage mode: every entry framed and
@@ -38,7 +37,6 @@
 #include <vector>
 
 #include "dew/sweep.hpp"
-#include "phase/representative_sweep.hpp"
 #include "serve/key.hpp"
 
 namespace dew::serve {
@@ -49,17 +47,6 @@ struct cache_options {
     // Maximum cached entries across all shards (split evenly; each shard
     // holds at least one).  Must be > 0.
     std::size_t capacity{1024};
-};
-
-// One answered request.  Exactly one of `sweep` / `estimate` is the primary
-// payload; a representative answer that fell back to exact carries the
-// exact sweep (that is what was served) with fell_back_exact set.
-struct cached_value {
-    std::shared_ptr<const core::sweep_result> sweep;
-    std::shared_ptr<const phase::representative_sweep_result> estimate;
-    bool estimated{false};
-    bool fell_back_exact{false};
-    double max_abs_error_pp{0.0};
 };
 
 // How load() treats a damaged file.
@@ -102,21 +89,21 @@ public:
     // Throws std::invalid_argument on zero shards or capacity.
     explicit result_cache(cache_options options = {});
 
-    // nullptr on miss.  Counts a hit or a miss.
-    [[nodiscard]] std::shared_ptr<const cached_value>
+    // The answered sweep, or nullptr on miss.  Counts a hit or a miss.
+    [[nodiscard]] std::shared_ptr<const core::sweep_result>
     find(const request_key& key);
 
     // Inserts (or replaces — idempotent for identical keys, which concurrent
     // duplicate computations can produce) and evicts the shard's oldest
     // entry when its slice of the capacity is full.
     void insert(const request_key& key,
-                std::shared_ptr<const cached_value> value);
+                std::shared_ptr<const core::sweep_result> value);
 
     [[nodiscard]] cache_stats stats() const;
     [[nodiscard]] std::size_t size() const;
     void clear();
 
-    // Exact entries only, as one DSCF image (version 2: per-entry
+    // Every entry, as one DSCF image (version 2: per-entry
     // checksums + a whole-file footer checksum).  load() takes a whole
     // image and stages every entry before inserting any: strict mode is
     // transactional (throws on any fault, cache untouched), salvage mode
@@ -129,7 +116,8 @@ public:
 private:
     struct shard {
         mutable std::mutex mutex; // dewlint: lock-order serve-cache-shard 70
-        std::unordered_map<request_key, std::shared_ptr<const cached_value>,
+        std::unordered_map<request_key,
+                           std::shared_ptr<const core::sweep_result>,
                            request_key_hash>
             map;
         std::deque<request_key> fifo; // insertion order, oldest first

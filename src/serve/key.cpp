@@ -1,7 +1,6 @@
 #include "serve/key.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 #include "common/bits.hpp"
@@ -68,22 +67,6 @@ service_request canonical(const service_request& request) {
     // requests differing only there are the same cache entry and the same
     // in-flight computation.
     normal.deadline = std::chrono::nanoseconds{0};
-    if (normal.mode == service_mode::representative) {
-        phase::validate(normal.phase);
-        if (normal.error_budget_pp <= 0.0) {
-            // Every non-positive budget (0.0, -0.0, -1.0, ...) means the
-            // same thing — uncalibrated estimate — so collapse them to one
-            // canonical bit pattern before the double is folded.
-            normal.error_budget_pp = 0.0;
-        }
-    } else {
-        // Exact requests are identical no matter what the (unused)
-        // representative knobs say; normalise them away so they cannot
-        // fragment the key space.
-        normal.phase = phase::phase_options{};
-        normal.warmup_records = 0;
-        normal.error_budget_pp = 0.0;
-    }
     return normal;
 }
 
@@ -98,7 +81,9 @@ std::array<std::uint64_t, 2>
 fingerprint_canonical(const service_request& normal) {
     folder fold;
     fold(0x44455753ull); // format tag "SWED"; bump if the field set changes
-    fold(static_cast<std::uint64_t>(normal.mode));
+    // The retired service-mode word (0 was "exact", the only tier left):
+    // still folded, so every fingerprint and every DSCF key stays put.
+    fold(0);
     fold(static_cast<std::uint64_t>(normal.sweep.engine));
     fold(static_cast<std::uint64_t>(normal.sweep.instrumentation));
     fold(normal.sweep.max_set_exp);
@@ -113,16 +98,6 @@ fingerprint_canonical(const service_request& normal) {
     fold(normal.sweep.associativities.size());
     for (const std::uint32_t assoc : normal.sweep.associativities) {
         fold(assoc);
-    }
-    if (normal.mode == service_mode::representative) {
-        fold(normal.phase.interval_records);
-        fold(normal.phase.signature_block_size);
-        fold(normal.phase.signature_width);
-        fold(normal.phase.max_phases);
-        fold(normal.phase.kmeans_iterations);
-        // phase.chunk_records excluded: buffering only, bit-identical.
-        fold(normal.warmup_records);
-        fold(std::bit_cast<std::uint64_t>(normal.error_budget_pp));
     }
     return fold.finish();
 }

@@ -9,10 +9,10 @@
 //      listing order) and `threads` is zeroed (parallelism is the service's
 //      concern and results are bit-identical regardless — the session test
 //      suite proves it).  Everything that can change a single answered bit
-//      — engine, instrumentation policy, dew_options, max_set_exp, the
-//      grids, the service tier and its phase/warmup/error-budget knobs — is
-//      preserved.  The service executes the canonical form, so the result
-//      handed back is exactly run_sweep(trace, canonical(request.sweep)).
+//      — engine, instrumentation policy, dew_options, max_set_exp and the
+//      grids — is preserved.  The service executes the canonical form, so
+//      the result handed back is exactly
+//      run_sweep(trace, canonical(request.sweep)).
 //   2. fingerprint() — a 128-bit hash of the canonical form.  Keys compare
 //      by full (trace digest, fingerprint) value, 256 bits total, so a
 //      collision needs simultaneous 128+128-bit coincidence.
@@ -30,19 +30,9 @@
 #include <cstdint>
 
 #include "dew/sweep.hpp"
-#include "phase/options.hpp"
 #include "trace/digest.hpp"
 
 namespace dew::serve {
-
-// Which tier answers the request: `exact` simulates every reference through
-// the engine the sweep names; `representative` serves phase-analysis
-// estimates (src/phase/) and falls back to exact when the calibrated error
-// exceeds the request's budget.
-enum class service_mode : std::uint8_t {
-    exact = 0,
-    representative = 1,
-};
 
 // Cross-checked by dewlint's identity-completeness rule: every field must
 // be folded by fingerprint_canonical (key.cpp) or carry an exempt
@@ -53,17 +43,6 @@ struct service_request {
     // the sweep.  `threads` is ignored (the service owns parallelism) and
     // `filter` must be empty (see above).
     core::sweep_request sweep{};
-    service_mode mode{service_mode::exact};
-
-    // Representative tier only (ignored — and excluded from the request
-    // identity — in exact mode):
-    phase::phase_options phase{};
-    std::uint64_t warmup_records{2048};
-    // > 0: the representative sweep runs calibrated and the service falls
-    // back to the exact result when the measured error exceeds this budget
-    // (miss-rate percentage points).  <= 0: the estimate is served
-    // uncalibrated — the cheap tier, no accuracy statement.
-    double error_budget_pp{2.0};
 
     // Per-submission answer deadline, relative to submit(); <= 0 (the
     // default) means none.  A request past its deadline fails with
@@ -102,9 +81,7 @@ struct service_request {
 [[nodiscard]] core::sweep_request canonical(const core::sweep_request& sweep);
 [[nodiscard]] service_request canonical(const service_request& request);
 
-// 128-bit fingerprint of canonical(request).  phase_options::chunk_records
-// is excluded: like `threads`, it is a buffering knob proven not to change
-// a single output bit.
+// 128-bit fingerprint of canonical(request).
 [[nodiscard]] std::array<std::uint64_t, 2>
 fingerprint(const service_request& request);
 

@@ -17,7 +17,6 @@
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
 #include "obs/slo.hpp"
-#include "phase/representative_sweep.hpp"
 #include "trace/digest.hpp"
 #include "trace/fault.hpp"
 
@@ -55,16 +54,6 @@ using clock = std::chrono::steady_clock;
 
 constexpr clock::time_point no_deadline = clock::time_point::max();
 
-service_result to_result(const cached_value& value) {
-    service_result out;
-    out.sweep = value.sweep;
-    out.estimate = value.estimate;
-    out.estimated = value.estimated;
-    out.fell_back_exact = value.fell_back_exact;
-    out.max_abs_error_pp = value.max_abs_error_pp;
-    return out;
-}
-
 // Every stat the service counts itself, in one shared block: submission
 // handles (whose cancel() must keep counting after the service is
 // destroyed) and the service itself update the same atomics through a
@@ -79,15 +68,12 @@ struct counters {
     std::atomic<std::uint64_t> stream_builds{0};
     std::atomic<std::uint64_t> stream_reuses{0};
     std::atomic<std::uint64_t> rejected{0};
-    std::atomic<std::uint64_t> representative_served{0};
-    std::atomic<std::uint64_t> exact_fallbacks{0};
     std::atomic<std::uint64_t> timeouts{0};
     std::atomic<std::uint64_t> cancellations{0};
     std::atomic<std::uint64_t> retries{0};
     std::atomic<std::uint64_t> retry_successes{0};
     std::atomic<std::uint64_t> transient_faults{0};
     std::atomic<std::uint64_t> permanent_faults{0};
-    std::atomic<std::uint64_t> degraded_served{0};
     std::atomic<std::uint64_t> expired_flights{0};
 
     // Stage latency histograms (obs/histogram.hpp): relaxed atomics like
@@ -124,9 +110,6 @@ constexpr stats_series stats_table[] = {
     {"serve.stream_builds", counter, &service_stats::stream_builds},
     {"serve.stream_reuses", counter, &service_stats::stream_reuses},
     {"serve.rejected", counter, &service_stats::rejected},
-    {"serve.representative_served", counter,
-     &service_stats::representative_served},
-    {"serve.exact_fallbacks", counter, &service_stats::exact_fallbacks},
     {"serve.cache.evictions", counter, &service_stats::cache_evictions},
     {"serve.timeouts", counter, &service_stats::timeouts},
     {"serve.cancellations", counter, &service_stats::cancellations},
@@ -134,7 +117,6 @@ constexpr stats_series stats_table[] = {
     {"serve.retry_successes", counter, &service_stats::retry_successes},
     {"serve.transient_faults", counter, &service_stats::transient_faults},
     {"serve.permanent_faults", counter, &service_stats::permanent_faults},
-    {"serve.degraded_served", counter, &service_stats::degraded_served},
     {"serve.expired_flights", counter, &service_stats::expired_flights},
     {"serve.queue_depth", gauge, &service_stats::queue_depth},
     {"serve.inflight_flights", gauge, &service_stats::inflight_flights},
@@ -223,21 +205,15 @@ struct detail::flight {
     request_key key;
     std::shared_ptr<trace_entry> trace;
     clock::time_point start;
-    // Degraded flights answer an exact question from the estimate tier;
-    // they never enter the in-flight map (coalescing would hand one
-    // caller's degraded answer to another who might have been served
-    // exactly) and never enter the cache.
-    bool degraded{false};
 
-    // Guards waiters/live/earliest_deadline/results/error.
+    // Guards waiters/live/earliest_deadline/shard_results/error.
     std::mutex mutex; // dewlint: lock-order serve-flight 40
     std::vector<waiter> waiters; // [0] = initiator; indices never move
     std::size_t live{0};         // waiters not yet settled
     clock::time_point earliest_deadline{no_deadline};
-    // Exact tier: one slot per distinct block size (canonical grids are
-    // sorted and unique), each filled by one shard job.
+    // One slot per distinct block size (canonical grids are sorted and
+    // unique), each filled by one shard job.
     std::vector<std::vector<core::dew_result>> shard_results;
-    cached_value value;
     std::exception_ptr error; // first failing job wins
 
     // No live waiters left (all timed out / cancelled): queued jobs skip,
@@ -281,9 +257,6 @@ struct detail::flight {
         e.key_hi = key.request[0];
         e.key_lo = key.request[1];
         e.node = node;
-        e.tier = degraded || request.mode == service_mode::representative
-                     ? 1
-                     : 0;
         e.retries = attempt.load(std::memory_order_relaxed);
         e.start_ns = admitted_ns;
         const std::uint64_t now = obs::now_ns();
@@ -364,7 +337,7 @@ void submission::on_settled(std::function<void()> fn) {
 
 struct service::job {
     std::shared_ptr<flight> target;
-    std::size_t shard{0}; // exact tier: index into sweep.block_sizes
+    std::size_t shard{0}; // index into sweep.block_sizes
     // When the job entered the queue (0 = recording off): the queue-wait
     // span/histogram sample is taken by the worker that picks it up.
     std::uint64_t enqueued_ns{0};
@@ -451,8 +424,6 @@ struct service::state {
         out.stream_builds = load(c.stream_builds);
         out.stream_reuses = load(c.stream_reuses);
         out.rejected = load(c.rejected);
-        out.representative_served = load(c.representative_served);
-        out.exact_fallbacks = load(c.exact_fallbacks);
         out.cache_evictions = cached.evictions;
         out.timeouts = load(c.timeouts);
         out.cancellations = load(c.cancellations);
@@ -460,7 +431,6 @@ struct service::state {
         out.retry_successes = load(c.retry_successes);
         out.transient_faults = load(c.transient_faults);
         out.permanent_faults = load(c.permanent_faults);
-        out.degraded_served = load(c.degraded_served);
         out.expired_flights = load(c.expired_flights);
         {
             const std::lock_guard<std::mutex> lock{flights_mutex};
@@ -539,18 +509,10 @@ struct service::state {
         latency("serve.settle_ns", c.settle_ns);
     }
 
-    [[nodiscard]] std::size_t degrade_watermark() const noexcept {
-        if (options.degrade_watermark != 0) {
-            return options.degrade_watermark;
-        }
-        return options.queue_capacity / 2 == 0 ? 1
-                                               : options.queue_capacity / 2;
-    }
-
     // An already-answered submission from the cache (no cancel lever —
     // there is nothing left to withdraw).
     [[nodiscard]] submission
-    answer_from_cache(const std::shared_ptr<const cached_value>& cached,
+    answer_from_cache(std::shared_ptr<const core::sweep_result> cached,
                       const service_request& normal, const request_key& key,
                       std::uint64_t admitted_ns) {
         obs::request_event e;
@@ -560,13 +522,13 @@ struct service::state {
         e.key_hi = key.request[0];
         e.key_lo = key.request[1];
         e.node = options.node_id;
-        e.tier = normal.mode == service_mode::representative ? 1 : 0;
         e.disposition = obs::event_disposition::cache_hit;
         e.start_ns = admitted_ns;
         const std::uint64_t now = obs::now_ns();
         e.total_ns = now >= admitted_ns ? now - admitted_ns : 0;
         settle_event(*events, *slo, e);
-        service_result result = to_result(*cached);
+        service_result result;
+        result.sweep = std::move(cached);
         result.cache_hit = true;
         waiter answered;
         std::future<service_result> future = answered.promise.get_future();
@@ -624,11 +586,9 @@ struct service::state {
         }
     }
 
+    // One shard job per distinct block size.
     [[nodiscard]] static std::size_t job_count(const flight& f) noexcept {
-        return f.degraded ||
-                       f.request.mode == service_mode::representative
-                   ? 1
-                   : f.request.sweep.block_sizes.size();
+        return f.request.sweep.block_sizes.size();
     }
 
     [[nodiscard]] std::shared_ptr<const std::vector<std::uint64_t>>
@@ -681,9 +641,9 @@ struct service::state {
         }
     }
 
-    // One shard of an exact flight: every associativity pass of one block
-    // size, fed the shared pre-decoded stream in one shot (chunked feeding
-    // is bit-identical, so this equals the session's chunk loop).
+    // One shard of a flight: every associativity pass of one block size,
+    // fed the shared pre-decoded stream in one shot (chunked feeding is
+    // bit-identical, so this equals the session's chunk loop).
     void run_exact_shard(flight& f, std::size_t shard) {
         const std::uint32_t block = f.request.sweep.block_sizes[shard];
         const auto stream = block_stream(*f.trace, block,
@@ -701,62 +661,6 @@ struct service::state {
         }
         const std::lock_guard<std::mutex> lock{f.mutex};
         f.shard_results[shard] = std::move(results);
-    }
-
-    // Serial exact sweep over the shared streams — the representative
-    // tier's fallback path.  Same passes, same order as the shard path.
-    [[nodiscard]] std::shared_ptr<const core::sweep_result>
-    exact_sweep(flight& f) {
-        auto sweep = std::make_shared<core::sweep_result>();
-        sweep->requests = f.trace->records.size();
-        for (const std::uint32_t block : f.request.sweep.block_sizes) {
-            const auto stream = block_stream(*f.trace, block,
-                                             f.obs_correlation,
-                                             f.obs_fingerprint,
-                                             f.request.obs_trace_hi,
-                                             f.request.obs_trace_lo);
-            for (const std::uint32_t assoc :
-                 f.request.sweep.associativities) {
-                const auto pass = core::detail::make_sweep_pass(
-                    f.request.sweep, block, assoc);
-                pass->feed({stream->data(), stream->size()});
-                sweep->passes.push_back(pass->result());
-            }
-        }
-        sweep->seconds = std::chrono::duration<double>(
-                             clock::now() - f.start)
-                             .count();
-        return sweep;
-    }
-
-    void run_representative(flight& f) {
-        phase::representative_sweep_request rep;
-        rep.sweep = f.request.sweep;
-        rep.phase = f.request.phase;
-        rep.warmup_records = f.request.warmup_records;
-        // A degraded flight is shedding load: always the uncalibrated
-        // estimate, never a calibration run or an exact fallback.
-        rep.calibrate = !f.degraded && f.request.error_budget_pp > 0.0;
-        auto estimate =
-            std::make_shared<const phase::representative_sweep_result>(
-                phase::representative_sweep(f.trace->records, rep));
-        cached_value value;
-        value.estimate = estimate;
-        value.estimated = true;
-        value.max_abs_error_pp = estimate->max_abs_error_pp;
-        if (rep.calibrate &&
-            estimate->max_abs_error_pp > f.request.error_budget_pp) {
-            value.sweep = exact_sweep(f);
-            value.fell_back_exact = true;
-            ctrs->exact_fallbacks.fetch_add(1, std::memory_order_relaxed);
-        } else if (f.degraded) {
-            ctrs->degraded_served.fetch_add(1, std::memory_order_relaxed);
-        } else {
-            ctrs->representative_served.fetch_add(1,
-                                                  std::memory_order_relaxed);
-        }
-        const std::lock_guard<std::mutex> lock{f.mutex};
-        f.value = std::move(value);
     }
 
     void run_job(const job& j) {
@@ -792,12 +696,7 @@ struct service::state {
                 options.fault_hook(
                     j.shard, f.attempt.load(std::memory_order_relaxed));
             }
-            if (f.degraded ||
-                f.request.mode == service_mode::representative) {
-                run_representative(f);
-            } else {
-                run_exact_shard(f, j.shard);
-            }
+            run_exact_shard(f, j.shard);
         } catch (...) {
             const std::lock_guard<std::mutex> lock{f.mutex};
             if (!f.error) {
@@ -878,12 +777,8 @@ struct service::state {
                 {
                     const std::lock_guard<std::mutex> lock{f->mutex};
                     f->error = nullptr;
-                    f->value = {};
-                    if (!f->degraded &&
-                        f->request.mode == service_mode::exact) {
-                        f->shard_results.clear();
-                        f->shard_results.resize(jobs);
-                    }
+                    f->shard_results.clear();
+                    f->shard_results.resize(jobs);
                 }
                 f->attempt.fetch_add(1, std::memory_order_relaxed);
                 f->remaining.store(jobs, std::memory_order_release);
@@ -899,63 +794,47 @@ struct service::state {
                               f->obs_correlation, f->obs_fingerprint};
         settle_span.set_trace(f->request.obs_trace_hi,
                               f->request.obs_trace_lo);
-        cached_value value;
+        // One shared payload: the waiters and the cache alias it.
+        std::shared_ptr<const core::sweep_result> answer;
         if (!error && !abandoned) {
-            const std::lock_guard<std::mutex> lock{f->mutex};
-            if (f->request.mode == service_mode::exact && !f->degraded) {
-                auto sweep = std::make_shared<core::sweep_result>();
-                sweep->requests = f->trace->records.size();
-                sweep->passes.reserve(
-                    f->request.sweep.block_sizes.size() *
-                    f->request.sweep.associativities.size());
+            auto sweep = std::make_shared<core::sweep_result>();
+            sweep->requests = f->trace->records.size();
+            sweep->passes.reserve(f->request.sweep.block_sizes.size() *
+                                  f->request.sweep.associativities.size());
+            {
+                const std::lock_guard<std::mutex> lock{f->mutex};
                 for (std::vector<core::dew_result>& shard :
                      f->shard_results) {
                     for (core::dew_result& pass : shard) {
                         sweep->passes.push_back(std::move(pass));
                     }
                 }
-                sweep->seconds = std::chrono::duration<double>(
-                                     clock::now() - f->start)
-                                     .count();
-                f->value.sweep = std::move(sweep);
             }
-            value = f->value; // shared payload; waiters and cache alias it
-        }
-        if (!error && !abandoned) {
+            sweep->seconds =
+                std::chrono::duration<double>(clock::now() - f->start)
+                    .count();
+            answer = std::move(sweep);
             ctrs->computations.fetch_add(1, std::memory_order_relaxed);
             if (f->attempt.load(std::memory_order_relaxed) > 0) {
                 ctrs->retry_successes.fetch_add(1,
                                                 std::memory_order_relaxed);
             }
-            if (!f->degraded) {
-                cache.insert(f->key,
-                             std::make_shared<const cached_value>(value));
-            }
+            cache.insert(f->key, answer);
         }
-        if (!f->degraded) {
-            // Conditional unmap: an abandoned flight may already have been
-            // replaced in the map by a fresh one for the same key — that
-            // newcomer must not be evicted by its predecessor's funeral.
-            const std::lock_guard<std::mutex> lock{flights_mutex};
-            const auto it = flights.find(f->key);
-            if (it != flights.end() && it->second == f) {
-                flights.erase(it);
-            }
-        }
+        unmap(f);
         // Settle the live waiters, one wide event each under its own
-        // telemetry identity; the disposition ranks failure > degraded >
-        // coalesced.  The events are recorded BEFORE the waiters settle:
-        // the instant one does, its continuation can send the response and
-        // the requester close its span, and telemetry trickling in after
-        // that would land outside the client's span interval (the
-        // containment obs.stitch_test and obs.fleet_test prove).  It also
-        // means a caller returning from get() sees itself in `completed`,
-        // the ring's push count.
+        // telemetry identity; the disposition ranks failure > coalesced.
+        // The events are recorded BEFORE the waiters settle: the instant
+        // one does, its continuation can send the response and the
+        // requester close its span, and telemetry trickling in after that
+        // would land outside the client's span interval (the containment
+        // obs.stitch_test and obs.fleet_test prove).  It also means a
+        // caller returning from get() sees itself in `completed`, the
+        // ring's push count.
         auto fulfil = f->take_live([&](std::size_t index) {
-            return error         ? obs::event_disposition::failed
-                   : f->degraded ? obs::event_disposition::degraded
-                   : index > 0   ? obs::event_disposition::coalesced
-                                 : obs::event_disposition::computed;
+            return error       ? obs::event_disposition::failed
+                   : index > 0 ? obs::event_disposition::coalesced
+                               : obs::event_disposition::computed;
         });
         for (const auto& settled : fulfil) {
             settle_event(*events, *slo, settled.second);
@@ -972,16 +851,26 @@ struct service::state {
         for (auto& [w, e] : fulfil) {
             service_result result;
             if (!error) {
-                result = to_result(value);
+                result.sweep = answer;
                 result.coalesced =
                     e.disposition == obs::event_disposition::coalesced;
-                result.degraded = f->degraded;
                 result.flight_retries =
                     f->attempt.load(std::memory_order_relaxed);
             }
             settle(w, error, std::move(result));
         }
         close_flight();
+    }
+
+    // Conditional unmap: an abandoned flight may already have been
+    // replaced in the map by a fresh one for the same key — that newcomer
+    // must not be evicted by its predecessor's funeral.
+    void unmap(const std::shared_ptr<flight>& f) {
+        const std::lock_guard<std::mutex> lock{flights_mutex};
+        const auto it = flights.find(f->key);
+        if (it != flights.end() && it->second == f) {
+            flights.erase(it);
+        }
     }
 
     void close_flight() {
@@ -994,9 +883,7 @@ struct service::state {
 
     // Queue the flight's jobs under the backpressure policy.  Throws
     // service_overloaded (fail-fast, or a request wider than the whole
-    // queue); the caller unwinds the flight.  overflow_policy::degrade
-    // blocks here like `block` — the load-shedding decision was already
-    // taken at submit time.
+    // queue); the caller unwinds the flight.
     void enqueue(const std::shared_ptr<flight>& f, std::size_t jobs) {
         const std::uint64_t enqueued = obs::timestamp_if_enabled();
         std::unique_lock<std::mutex> lock{queue_mutex};
@@ -1030,13 +917,7 @@ struct service::state {
     // coalescers that joined while we were trying — sees the failure.
     void fail_flight(const std::shared_ptr<flight>& f,
                      const std::exception_ptr& error) {
-        if (!f->degraded) {
-            const std::lock_guard<std::mutex> lock{flights_mutex};
-            const auto it = flights.find(f->key);
-            if (it != flights.end() && it->second == f) {
-                flights.erase(it);
-            }
-        }
+        unmap(f);
         // A queue rejection and an internal fault are different outcomes
         // in the wide-event record even though both unwind the same way.
         obs::event_disposition disposition = obs::event_disposition::failed;
@@ -1210,10 +1091,15 @@ submission service::submit(std::string_view trace_name,
     const service_request normal = canonical(request); // throws up front
     // Relative deadline -> absolute, pinned at submit time (before any
     // queueing): the deadline clock starts when the caller asked, not when
-    // the service got around to it.
-    const clock::time_point deadline_at =
-        request.deadline.count() > 0 ? clock::now() + request.deadline
-                                     : no_deadline;
+    // the service got around to it.  One reaching past the clock's range
+    // saturates to no deadline instead of overflowing into the past.
+    clock::time_point deadline_at = no_deadline;
+    if (request.deadline.count() > 0) {
+        const clock::time_point now = clock::now();
+        if (request.deadline < no_deadline - now) {
+            deadline_at = now + request.deadline;
+        }
+    }
 
     std::shared_ptr<trace_entry> entry;
     {
@@ -1247,7 +1133,6 @@ submission service::submit(std::string_view trace_name,
 
     std::shared_ptr<flight> f;
     std::future<service_result> future;
-    bool degrade = false;
     {
         const std::lock_guard<std::mutex> lock{s.flights_mutex};
         const auto it = s.flights.find(key);
@@ -1292,21 +1177,11 @@ submission service::submit(std::string_view trace_name,
                                            admitted_ns);
             }
         }
-        // Load shedding: past the high-watermark an exact request gets the
-        // estimate tier, one job, no cache entry — but only after the
-        // cache and coalesce probes above failed, because a hit on either
-        // is strictly better than degrading and costs no queue slot.
-        if (s.options.overflow == overflow_policy::degrade &&
-            normal.mode == service_mode::exact) {
-            const std::lock_guard<std::mutex> qlock{s.queue_mutex};
-            degrade = s.queue.size() >= s.degrade_watermark();
-        }
         f = std::make_shared<flight>();
         f->request = normal;
         f->key = key;
         f->trace = entry;
         f->start = clock::now();
-        f->degraded = degrade;
         f->obs_correlation = normal.obs_correlation;
         f->obs_fingerprint = key.request[0];
         f->start_ns = obs::timestamp_if_enabled();
@@ -1325,14 +1200,10 @@ submission service::submit(std::string_view trace_name,
         future = f->waiters.back().promise.get_future();
         const std::size_t jobs = state::job_count(*f);
         f->remaining.store(jobs, std::memory_order_relaxed);
-        if (normal.mode == service_mode::exact && !degrade) {
-            f->shard_results.resize(jobs);
-        }
-        if (!degrade) {
-            // insert_or_assign, not emplace: the slot may hold the
-            // abandoned corpse detected above.
-            s.flights.insert_or_assign(key, f);
-        }
+        f->shard_results.resize(jobs);
+        // insert_or_assign, not emplace: the slot may hold the abandoned
+        // corpse detected above.
+        s.flights.insert_or_assign(key, f);
         // Registered from drain()'s point of view before any job is
         // queued, so a drain racing a blocking enqueue waits for this
         // flight even while its later shards are still being pushed.

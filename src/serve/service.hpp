@@ -13,17 +13,16 @@
 //     how the trace was produced or how the grids were spelled.
 //   * Result cache.  A sharded FIFO-bounded map (serve/cache.hpp) answers
 //     repeated questions without touching a simulator; save_cache /
-//     load_cache persist exact entries as one DSCF image of "DSWR" sweep
+//     load_cache persist the entries as one DSCF image of "DSWR" sweep
 //     records, with per-entry and whole-file checksums and a salvage mode
 //     that recovers the verified prefix of a crash-truncated file.
 //   * Scheduler.  submit() is async (returns a submission handle wrapping a
 //     std::future) and never simulates on the calling thread.  Identical
 //     in-flight requests coalesce into one computation — N callers, one
-//     simulation, N futures.  An exact request's grid is split into one
-//     shard job per distinct block size; shard jobs of all requests
-//     interleave on a fixed worker pool above a bounded queue
-//     (overflow_policy: callers block, fail fast with service_overloaded,
-//     or degrade to the estimate tier past a high-watermark).  Shard jobs
+//     simulation, N futures.  A request's grid is split into one shard
+//     job per distinct block size; shard jobs of all requests interleave
+//     on a fixed worker pool above a bounded queue (overflow_policy:
+//     callers block, or fail fast with service_overloaded).  Shard jobs
 //     pull their block-number stream from a per-trace stream cache, so a
 //     trace is decoded at a given block size once — across requests, not
 //     just within one (the PR-1 decode-once contract lifted to the corpus
@@ -34,14 +33,10 @@
 //     NOT by request volume.  A corpus whose traces are too large for that
 //     product belongs on the direct streaming run_sweep path, which never
 //     materialises anything.
-//   * Tiers.  service_mode::exact runs the engine the request names (dew |
-//     cipar) and is bit-identical to run_sweep(trace, canonical(request))
+//   * One exact tier.  Every answer runs the engine the request names (dew
+//     | cipar) and is bit-identical to run_sweep(trace, canonical(request))
 //     by construction — shard jobs run the same detail::make_sweep_pass
-//     instantiations the session would.  service_mode::representative
-//     serves phase-analysis estimates (src/phase/): with a positive error
-//     budget the estimate is calibrated and the service falls back to the
-//     exact result when the measured error exceeds the budget, so a served
-//     estimate always carries a true accuracy statement.
+//     instantiations the session would.
 //
 // Failure semantics (the robustness layer):
 //
@@ -121,12 +116,6 @@ public:
 enum class overflow_policy : std::uint8_t {
     block = 0,     // submit() waits for queue space (default)
     fail_fast = 1, // submit() throws service_overloaded
-    // Graceful degradation: once the queue is at/above the high-watermark
-    // (service_options::degrade_watermark), exact-mode requests are served
-    // by the representative tier instead — an uncalibrated estimate,
-    // flagged `degraded` in the result, never cached and never coalesced
-    // with exact flights.  Below the watermark behaves like `block`.
-    degrade = 2,
 };
 
 // How a failed flight's fault is treated (see classify_fault).
@@ -147,8 +136,7 @@ struct service_options {
     // Worker threads executing jobs; >= 1.
     unsigned workers{2};
     // Bounded job queue: the backpressure surface.  A request needs one
-    // queue slot per distinct block size (exact) or one slot
-    // (representative / degraded).  Must be >= 1.
+    // queue slot per distinct block size.  Must be >= 1.
     std::size_t queue_capacity{256};
     overflow_policy overflow{overflow_policy::block};
     cache_options cache{};
@@ -160,9 +148,6 @@ struct service_options {
     unsigned max_retries{2};
     std::chrono::nanoseconds retry_backoff{std::chrono::milliseconds{1}};
     std::chrono::nanoseconds retry_backoff_cap{std::chrono::milliseconds{50}};
-    // overflow_policy::degrade only: queue length at/above which exact
-    // requests degrade.  0 = half the queue capacity (at least 1).
-    std::size_t degrade_watermark{0};
     // Fault-injection seam: if set, runs at the start of every shard-job
     // execution as fault_hook(shard_index, attempt) and may throw — the
     // exception fails the flight exactly as a real engine fault would.
@@ -184,23 +169,13 @@ struct service_options {
 };
 
 struct service_result {
-    // Exact tier (and representative fallback): the full sweep, equal to
-    // run_sweep(trace, canonical(request).sweep) bit for bit.
+    // The full sweep, equal to run_sweep(trace, canonical(request).sweep)
+    // bit for bit.
     std::shared_ptr<const core::sweep_result> sweep;
-    // Representative tier: the phase estimate (also set alongside `sweep`
-    // when the service fell back, so the caller can see both).
-    std::shared_ptr<const phase::representative_sweep_result> estimate;
     bool cache_hit{false};  // answered without any computation
     bool coalesced{false};  // joined another caller's in-flight computation
-    bool estimated{false};  // served by the representative tier
-    bool fell_back_exact{false}; // estimate exceeded the budget; sweep served
-    // overflow_policy::degrade served this exact request from the estimate
-    // tier.  A degraded answer is never cached: the caller asked an exact
-    // question and must be able to ask it again under less load.
-    bool degraded{false};
     // Transient-fault retries this flight needed before succeeding.
     unsigned flight_retries{0};
-    double max_abs_error_pp{0.0}; // calibrated representative answers only
 };
 
 // A typed view of the service's serve.* registry series: each field is
@@ -217,8 +192,6 @@ struct service_stats {
     std::uint64_t stream_builds{0}; // (trace, block size) decodes performed
     std::uint64_t stream_reuses{0}; // decodes avoided by the stream cache
     std::uint64_t rejected{0};      // fail-fast overflow rejections
-    std::uint64_t representative_served{0};
-    std::uint64_t exact_fallbacks{0};
     std::uint64_t cache_evictions{0};
     std::uint64_t timeouts{0};      // waiters settled with service_timeout
     std::uint64_t cancellations{0}; // waiters settled via cancel()
@@ -226,7 +199,6 @@ struct service_stats {
     std::uint64_t retry_successes{0}; // flights that recovered via retry
     std::uint64_t transient_faults{0}; // flight faults classified transient
     std::uint64_t permanent_faults{0}; // flight faults classified permanent
-    std::uint64_t degraded_served{0};  // exact requests answered degraded
     std::uint64_t expired_flights{0};  // flights abandoned (no live waiters)
 
     // Gauges — instantaneous levels at the read, not monotone counts: jobs

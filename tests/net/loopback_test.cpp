@@ -9,7 +9,9 @@
 #include <filesystem>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dew/sweep.hpp"
@@ -213,11 +215,16 @@ TEST(Loopback, MalformedHeaderGetsPreciseErrorAndOnlyThatConnectionDies) {
     client healthy{"127.0.0.1", srv.port()};
     const trace::trace_digest digest = healthy.register_trace(workload());
 
-    {
-        // Raw garbage where a frame header belongs.
+    // Raw garbage where a frame header belongs, and a well-formed ping
+    // from a version-1 peer: each gets a protocol error naming its fault.
+    std::string v1_ping = encode_frame(message_type::ping, 5, {});
+    v1_ping[4] = 1;
+    const std::pair<std::string, std::string> bad_headers[] = {
+        {std::string(frame_header_bytes, 'X'), "byte"},
+        {v1_ping, "unsupported wire version 1 at byte offset 4"}};
+    for (const auto& [bad, expected] : bad_headers) {
         socket_fd raw = connect_to("127.0.0.1", srv.port());
-        const std::string garbage(frame_header_bytes, 'X');
-        write_all(raw, garbage.data(), garbage.size());
+        write_all(raw, bad.data(), bad.size());
 
         std::string header_bytes(frame_header_bytes, '\0');
         ASSERT_EQ(read_exact(raw, header_bytes.data(), header_bytes.size()),
@@ -230,7 +237,8 @@ TEST(Loopback, MalformedHeaderGetsPreciseErrorAndOnlyThatConnectionDies) {
                   payload.size());
         const error_message fault = decode_error(payload);
         EXPECT_EQ(fault.code, fault_code::protocol);
-        EXPECT_NE(fault.what.find("byte"), std::string::npos) << fault.what;
+        EXPECT_NE(fault.what.find(expected), std::string::npos)
+            << fault.what;
 
         // Framing is lost: the server closes THIS connection.
         char byte = 0;

@@ -18,7 +18,6 @@
 #include "dew/sweep.hpp"
 #include "net/golden_frames.hpp"
 #include "net/wire.hpp"
-#include "phase/representative_sweep.hpp"
 #include "serve/service.hpp"
 #include "support/bytes.hpp"
 #include "trace/fault.hpp"
@@ -49,11 +48,6 @@ serve::service_request sample_request() {
     request.sweep.instrumentation = core::sweep_instrumentation::full_counters;
     request.sweep.options.use_wave = false;
     request.sweep.options.mre_depth = 3;
-    request.mode = serve::service_mode::representative;
-    request.phase.interval_records = 512;
-    request.phase.signature_width = 32;
-    request.warmup_records = 777;
-    request.error_budget_pp = 1.25;
     request.deadline = std::chrono::nanoseconds{123456789};
     return request;
 }
@@ -68,33 +62,13 @@ core::sweep_result sample_sweep() {
     return result;
 }
 
-serve::service_result sample_result(bool with_sweep, bool with_estimate) {
+serve::service_result sample_result(bool with_sweep) {
     serve::service_result result;
     result.coalesced = true;
     result.flight_retries = 2;
-    result.max_abs_error_pp = 0.5;
     if (with_sweep) {
         result.sweep =
             std::make_shared<const core::sweep_result>(sample_sweep());
-    }
-    if (with_estimate) {
-        phase::representative_sweep_result estimate;
-        estimate.total_records = 600;
-        estimate.simulated_records = 128;
-        estimate.analysis_seconds = 0.25;
-        estimate.calibrated = true;
-        estimate.max_abs_error_pp = 0.5;
-        phase::config_estimate config;
-        config.config = {8, 2, 16};
-        config.estimated_misses = 41;
-        config.estimated_miss_rate = 0.068;
-        config.exact_misses = 40;
-        config.exact_miss_rate = 0.066;
-        config.abs_error_pp = 0.2;
-        estimate.configs = {config, config};
-        result.estimate = std::make_shared<
-            const phase::representative_sweep_result>(std::move(estimate));
-        result.estimated = true;
     }
     return result;
 }
@@ -135,7 +109,6 @@ std::vector<obs::request_event> sample_events() {
     computed.queue_ns = 46;
     computed.run_ns = 47;
     computed.total_ns = 48;
-    computed.tier = 1;
     computed.disposition = obs::event_disposition::computed;
     computed.retries = 2;
     obs::request_event rejected; // all-defaults except the terminal state
@@ -170,7 +143,7 @@ std::vector<std::pair<message_type, std::string>> sample_frames() {
         frame(message_type::has_trace, encode_digest(digest)),
         frame(message_type::has_ok, encode_flag(true)),
         frame(message_type::submit, encode_submit({digest, sample_request()})),
-        frame(message_type::result, encode_result(sample_result(true, true))),
+        frame(message_type::result, encode_result(sample_result(true))),
         frame(message_type::cancel, encode_cancel_target(0xDEADBEEFull)),
         frame(message_type::cancel_ok, encode_flag(false)),
         frame(message_type::cache_save, {}),
@@ -191,13 +164,22 @@ std::vector<std::pair<message_type, std::string>> sample_frames() {
     };
 }
 
-// The sample requests whose fingerprints are golden: the wire sample and
-// its exact-tier twin.
+// The sample requests whose fingerprints are golden: the wire sample (a
+// counted cipar request), the defaults, the paper's grid, and the sample's
+// counted-dew and fast-cipar twins.
 std::vector<std::pair<std::string, serve::service_request>>
 sample_requests() {
-    serve::service_request exact = sample_request();
-    exact.mode = serve::service_mode::exact;
-    return {{"sample_request", sample_request()}, {"exact_request", exact}};
+    serve::service_request paper;
+    paper.sweep = core::sweep_request::paper();
+    serve::service_request counted_dew = sample_request();
+    counted_dew.sweep.engine = core::sweep_engine::dew;
+    serve::service_request fast_cipar = sample_request();
+    fast_cipar.sweep.instrumentation = core::sweep_instrumentation::fast;
+    return {{"sample_request", sample_request()},
+            {"default_request", serve::service_request{}},
+            {"paper_request", paper},
+            {"counted_dew_request", counted_dew},
+            {"fast_cipar_request", fast_cipar}};
 }
 
 // --- Round trips -------------------------------------------------------------
@@ -236,7 +218,6 @@ TEST(Wire, SubmitRoundTripsEveryRequestField) {
     EXPECT_EQ(back.digest, message.digest);
     const serve::service_request& a = message.request;
     const serve::service_request& b = back.request;
-    EXPECT_EQ(b.mode, a.mode);
     EXPECT_EQ(b.deadline, a.deadline);
     EXPECT_EQ(b.sweep.max_set_exp, a.sweep.max_set_exp);
     EXPECT_EQ(b.sweep.engine, a.sweep.engine);
@@ -247,14 +228,6 @@ TEST(Wire, SubmitRoundTripsEveryRequestField) {
     EXPECT_EQ(b.sweep.options.mre_depth, a.sweep.options.mre_depth);
     EXPECT_EQ(b.sweep.block_sizes, a.sweep.block_sizes);
     EXPECT_EQ(b.sweep.associativities, a.sweep.associativities);
-    EXPECT_EQ(b.phase.interval_records, a.phase.interval_records);
-    EXPECT_EQ(b.phase.signature_block_size, a.phase.signature_block_size);
-    EXPECT_EQ(b.phase.signature_width, a.phase.signature_width);
-    EXPECT_EQ(b.phase.max_phases, a.phase.max_phases);
-    EXPECT_EQ(b.phase.kmeans_iterations, a.phase.kmeans_iterations);
-    EXPECT_EQ(b.phase.chunk_records, a.phase.chunk_records);
-    EXPECT_EQ(b.warmup_records, a.warmup_records);
-    EXPECT_EQ(b.error_budget_pp, a.error_budget_pp);
     // The fingerprint is the real equality oracle: the request identity
     // must survive the wire bit-exactly.
     EXPECT_EQ(serve::fingerprint(b), serve::fingerprint(a));
@@ -270,39 +243,17 @@ TEST(Wire, SubmitRejectsAStreamFilter) {
 
 TEST(Wire, ResultRoundTripsBitExactly) {
     for (const bool with_sweep : {false, true}) {
-        for (const bool with_estimate : {false, true}) {
-            const serve::service_result result =
-                sample_result(with_sweep, with_estimate);
-            const serve::service_result back =
-                decode_result(encode_result(result));
-            EXPECT_EQ(back.cache_hit, result.cache_hit);
-            EXPECT_EQ(back.coalesced, result.coalesced);
-            EXPECT_EQ(back.estimated, result.estimated);
-            EXPECT_EQ(back.fell_back_exact, result.fell_back_exact);
-            EXPECT_EQ(back.degraded, result.degraded);
-            EXPECT_EQ(back.flight_retries, result.flight_retries);
-            EXPECT_EQ(back.max_abs_error_pp, result.max_abs_error_pp);
-            ASSERT_EQ(back.sweep != nullptr, with_sweep);
-            if (with_sweep) {
-                // Bit identity, literally: the whole record, seconds too.
-                EXPECT_EQ(core::encode_sweep_record(*back.sweep),
-                          core::encode_sweep_record(*result.sweep));
-            }
-            ASSERT_EQ(back.estimate != nullptr, with_estimate);
-            if (with_estimate) {
-                EXPECT_EQ(back.estimate->total_records,
-                          result.estimate->total_records);
-                EXPECT_EQ(back.estimate->simulated_records,
-                          result.estimate->simulated_records);
-                EXPECT_EQ(back.estimate->calibrated,
-                          result.estimate->calibrated);
-                ASSERT_EQ(back.estimate->configs.size(),
-                          result.estimate->configs.size());
-                EXPECT_EQ(back.estimate->configs[0].estimated_misses,
-                          result.estimate->configs[0].estimated_misses);
-                EXPECT_EQ(back.estimate->configs[0].exact_miss_rate,
-                          result.estimate->configs[0].exact_miss_rate);
-            }
+        const serve::service_result result = sample_result(with_sweep);
+        const serve::service_result back =
+            decode_result(encode_result(result));
+        EXPECT_EQ(back.cache_hit, result.cache_hit);
+        EXPECT_EQ(back.coalesced, result.coalesced);
+        EXPECT_EQ(back.flight_retries, result.flight_retries);
+        ASSERT_EQ(back.sweep != nullptr, with_sweep);
+        if (with_sweep) {
+            // Bit identity, literally: the whole record, seconds too.
+            EXPECT_EQ(core::encode_sweep_record(*back.sweep),
+                      core::encode_sweep_record(*result.sweep));
         }
     }
 }
@@ -333,15 +284,12 @@ TEST(Wire, EventsRoundTripEveryField) {
     EXPECT_TRUE(decode_events(encode_events({})).empty());
 }
 
-TEST(Wire, EventsRejectImplausibleTierAndDisposition) {
-    // Entry layout: u32 count, six u64 identity words, then tier u8 and
-    // disposition u8 (wire.cpp).  Corrupt each in place.
-    const std::size_t tier_at = 4 + 6 * 8;
-    std::string bad_tier = encode_events(sample_events());
-    bad_tier[tier_at] = 2; // only exact (0) / representative (1) exist
-    EXPECT_THROW((void)decode_events(bad_tier), wire_error);
+TEST(Wire, EventsRejectImplausibleDisposition) {
+    // Entry layout: u32 count, six u64 identity words, then the
+    // disposition u8 (wire.cpp).  Corrupt it in place.
+    const std::size_t disposition_at = 4 + 6 * 8;
     std::string bad_disposition = encode_events(sample_events());
-    bad_disposition[tier_at + 1] =
+    bad_disposition[disposition_at] =
         static_cast<char>(obs::max_event_disposition + 1);
     EXPECT_THROW((void)decode_events(bad_disposition), wire_error);
 }
@@ -603,6 +551,18 @@ TEST(Wire, HeaderRejectsBadMagicVersionTypeAndSize) {
     bad_version[4] = 99;
     EXPECT_THROW((void)parse_header(bad_version), wire_error);
 
+    // A version-1 peer (the protocol before the estimate tier's fields
+    // left it) is refused at the header, by name, never misparsed.
+    std::string v1 = good;
+    v1[4] = 1;
+    try {
+        (void)parse_header(v1);
+        ADD_FAILURE() << "accepted a version-1 header";
+    } catch (const wire_error& fault) {
+        EXPECT_EQ(std::string{fault.what()},
+                  "unsupported wire version 1 at byte offset 4");
+    }
+
     std::string bad_type = good;
     bad_type[8] = 24; // one past message_type::events_ok
     EXPECT_THROW((void)parse_header(bad_type), wire_error);
@@ -632,9 +592,10 @@ TEST(Wire, HeaderRejectsBadMagicVersionTypeAndSize) {
 
 TEST(Wire, PayloadValidationNamesImplausibleFields) {
     // A bad enum value inside an otherwise well-framed payload.
-    std::string bad_mode = encode_submit({sample_digest(), sample_request()});
-    bad_mode[16] = 7; // mode byte follows the 16 digest bytes
-    EXPECT_THROW((void)decode_submit(bad_mode), wire_error);
+    std::string bad_engine =
+        encode_submit({sample_digest(), sample_request()});
+    bad_engine[16 + 8 + 4] = 7; // engine byte after digest, deadline, depth
+    EXPECT_THROW((void)decode_submit(bad_engine), wire_error);
 
     std::string bad_type = encode_records(trace::mem_trace{
         {0x1000, trace::access_type::read}});

@@ -1,6 +1,6 @@
 // The service's books have one source.  A service alone in the process is
 // driven through every settle disposition — computed, cache hit,
-// coalesced, degraded, timeout, cancelled, failed, rejected — and then
+// coalesced, timeout, cancelled, failed, rejected — and then
 // every service_stats field must equal its serve.* series in the process
 // registry, the submissions must balance, and serve::stats_from must decode
 // the scraped snapshot back into the same books.  The series names are
@@ -61,8 +61,6 @@ constexpr series books[] = {
     {"serve.stream_builds", &service_stats::stream_builds},
     {"serve.stream_reuses", &service_stats::stream_reuses},
     {"serve.rejected", &service_stats::rejected},
-    {"serve.representative_served", &service_stats::representative_served},
-    {"serve.exact_fallbacks", &service_stats::exact_fallbacks},
     {"serve.cache.evictions", &service_stats::cache_evictions},
     {"serve.timeouts", &service_stats::timeouts},
     {"serve.cancellations", &service_stats::cancellations},
@@ -70,7 +68,6 @@ constexpr series books[] = {
     {"serve.retry_successes", &service_stats::retry_successes},
     {"serve.transient_faults", &service_stats::transient_faults},
     {"serve.permanent_faults", &service_stats::permanent_faults},
-    {"serve.degraded_served", &service_stats::degraded_served},
     {"serve.expired_flights", &service_stats::expired_flights},
     {"serve.queue_depth", &service_stats::queue_depth},
     {"serve.inflight_flights", &service_stats::inflight_flights},
@@ -99,9 +96,14 @@ void expect_books_match(const service& svc) {
         EXPECT_EQ(m->value, stats.*s.field);
         EXPECT_EQ(decoded.*s.field, stats.*s.field);
     }
-    // One name per quantity: the retired synonyms are gone.
-    EXPECT_EQ(find(snapshot, "serve.cache_hits"), nullptr);
-    EXPECT_EQ(find(snapshot, "serve.events.recorded"), nullptr);
+    // One name per quantity: the retired synonyms are gone, and so are the
+    // retired estimate-tier series.
+    for (const char* retired :
+         {"serve.cache_hits", "serve.events.recorded",
+          "serve.representative_served", "serve.exact_fallbacks",
+          "serve.degraded_served"}) {
+        EXPECT_EQ(find(snapshot, retired), nullptr) << retired;
+    }
 }
 
 std::set<obs::event_disposition> dispositions(const service& svc) {
@@ -173,30 +175,6 @@ TEST(Accounting, EveryDispositionLandsInTheRegistryBooks) {
     EXPECT_EQ(stats.timeouts, 1u);
     EXPECT_EQ(stats.cancellations, 1u);
     EXPECT_EQ(stats.rejected, 1u);
-    expect_books_match(svc);
-}
-
-TEST(Accounting, DegradedAnswersLandInTheRegistryBooks) {
-    service_options options;
-    options.workers = 1;
-    options.queue_capacity = 8;
-    options.overflow = overflow_policy::degrade;
-    options.degrade_watermark = 1;
-    service svc{options};
-    svc.add_trace("cjpeg", workload());
-
-    svc.pause();
-    submission exact = svc.submit("cjpeg", question(0));
-    submission shed = svc.submit("cjpeg", question(1)); // queue at watermark
-    svc.resume();
-    EXPECT_FALSE(exact.get().degraded);
-    EXPECT_TRUE(shed.get().degraded);
-    svc.drain();
-
-    EXPECT_TRUE(dispositions(svc).count(obs::event_disposition::degraded));
-    const service_stats stats = svc.stats();
-    EXPECT_EQ(stats.degraded_served, 1u);
-    EXPECT_EQ(stats.completed, stats.submitted);
     expect_books_match(svc);
 }
 

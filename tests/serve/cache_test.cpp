@@ -24,16 +24,14 @@ request_key key_of(std::uint64_t n) {
     return {{{n, n * 3 + 1}}, {mix64(n), mix64(n + 1)}};
 }
 
-std::shared_ptr<const cached_value> exact_value() {
+std::shared_ptr<const core::sweep_result> exact_value() {
     core::sweep_request request;
     request.max_set_exp = 3;
     request.block_sizes = {16};
     request.associativities = {2};
-    auto value = std::make_shared<cached_value>();
-    value->sweep = std::make_shared<const core::sweep_result>(core::run_sweep(
+    return std::make_shared<const core::sweep_result>(core::run_sweep(
         trace::make_mediabench_trace(trace::mediabench_app::cjpeg, 2000),
         request));
-    return value;
 }
 
 // The golden image's two entries: a counted sweep, whose 11 counter words
@@ -55,10 +53,8 @@ void insert_golden_entries(result_cache& cache) {
           std::tuple{std::uint64_t{12}, fast, 1.5}}) {
         core::sweep_result sweep = core::run_sweep(records, request);
         sweep.seconds = seconds;
-        auto value = std::make_shared<cached_value>();
-        value->sweep =
-            std::make_shared<const core::sweep_result>(std::move(sweep));
-        cache.insert(key_of(n), std::move(value));
+        cache.insert(key_of(n), std::make_shared<const core::sweep_result>(
+                                    std::move(sweep)));
     }
 }
 
@@ -66,9 +62,7 @@ TEST(ServeCache, HitsMissesAndEntriesAreCounted) {
     result_cache cache{{4, 64}};
     EXPECT_EQ(cache.find(key_of(1)), nullptr);
     cache.insert(key_of(1), exact_value());
-    const auto hit = cache.find(key_of(1));
-    ASSERT_NE(hit, nullptr);
-    EXPECT_NE(hit->sweep, nullptr);
+    EXPECT_NE(cache.find(key_of(1)), nullptr);
     EXPECT_EQ(cache.find(key_of(2)), nullptr);
 
     const cache_stats stats = cache.stats();
@@ -98,7 +92,7 @@ TEST(ServeCache, CapacityBoundsEntriesWithFifoEviction) {
         cache.insert(key_of(n), value);
     }
     EXPECT_EQ(cache.find(key_of(1)), nullptr);
-    EXPECT_NE(held->sweep, nullptr); // still alive through our reference
+    EXPECT_EQ(held->passes.size(), 1u); // still alive through our reference
 }
 
 TEST(ServeCache, DuplicateInsertKeepsIncumbent) {
@@ -120,10 +114,6 @@ TEST(ServeCache, PersistenceRoundTripsExactEntries) {
     result_cache cache{{4, 64}};
     cache.insert(key_of(1), exact_value());
     cache.insert(key_of(2), exact_value());
-    // An estimated entry must not be persisted.
-    auto estimated = std::make_shared<cached_value>();
-    estimated->estimated = true;
-    cache.insert(key_of(3), estimated);
 
     const std::string image = cache.save();
 
@@ -136,12 +126,9 @@ TEST(ServeCache, PersistenceRoundTripsExactEntries) {
     EXPECT_EQ(restored.size(), 2u);
     const auto hit = restored.find(key_of(1));
     ASSERT_NE(hit, nullptr);
-    ASSERT_NE(hit->sweep, nullptr);
     const auto original = cache.find(key_of(1));
-    EXPECT_EQ(hit->sweep->passes.size(), original->sweep->passes.size());
-    EXPECT_EQ(hit->sweep->passes[0].misses(3, 2),
-              original->sweep->passes[0].misses(3, 2));
-    EXPECT_EQ(restored.find(key_of(3)), nullptr);
+    EXPECT_EQ(hit->passes.size(), original->passes.size());
+    EXPECT_EQ(hit->passes[0].misses(3, 2), original->passes[0].misses(3, 2));
 }
 
 TEST(ServeCache, LoadRejectsMalformedPayloads) {
@@ -257,9 +244,9 @@ TEST(ServeCache, SalvageLoadRecoversVerifiedPrefixAtEveryCutPoint) {
                 continue;
             }
             ++found;
-            ASSERT_NE(hit->sweep, nullptr) << "cut at " << cut;
-            EXPECT_EQ(hit->sweep->passes[0].misses(3, 2),
-                      reference->sweep->passes[0].misses(3, 2));
+            EXPECT_EQ(hit->passes[0].misses(3, 2),
+                      reference->passes[0].misses(3, 2))
+                << "cut at " << cut;
         }
         EXPECT_EQ(found, report.loaded) << "cut at " << cut;
     }

@@ -62,17 +62,12 @@ TEST(ServeKey, FingerprintIgnoresSpellingButNotSemantics) {
     service_request options = a;
     options.sweep.options.use_mre = false;
     EXPECT_NE(fingerprint(options), fingerprint(a));
-
-    service_request mode = a;
-    mode.mode = service_mode::representative;
-    EXPECT_NE(fingerprint(mode), fingerprint(a));
 }
 
 TEST(ServeKey, CiparEngineIgnoresDewOptions) {
     // dew_options select DEW tree properties; the cipar engine never reads
     // them, so they are dead fields of a cipar request and must not
-    // fragment the key space (the same normalisation exact mode applies to
-    // the unused representative knobs).
+    // fragment the key space.
     service_request a = base_request();
     a.sweep.engine = core::sweep_engine::cipar;
     service_request b = a;
@@ -88,41 +83,6 @@ TEST(ServeKey, CiparEngineIgnoresDewOptions) {
     EXPECT_NE(fingerprint(c), fingerprint(d));
 }
 
-TEST(ServeKey, ExactModeIgnoresRepresentativeKnobs) {
-    // The representative knobs are dead fields of an exact request; they
-    // must not fragment the key space.
-    service_request a = base_request();
-    service_request b = base_request();
-    b.warmup_records = 99;
-    b.error_budget_pp = 0.25;
-    b.phase.max_phases = 3;
-    EXPECT_EQ(fingerprint(a), fingerprint(b));
-
-    // In representative mode the same knobs are semantic.
-    a.mode = service_mode::representative;
-    b.mode = service_mode::representative;
-    EXPECT_NE(fingerprint(a), fingerprint(b));
-
-    service_request c = a;
-    c.phase.interval_records = a.phase.interval_records * 2;
-    EXPECT_NE(fingerprint(c), fingerprint(a));
-
-    // phase chunk_records is a buffering knob, proven bit-identical — it
-    // must not fragment the key space either.
-    service_request d = a;
-    d.phase.chunk_records = 123;
-    EXPECT_EQ(fingerprint(d), fingerprint(a));
-
-    // Every non-positive error budget means the same thing (uncalibrated
-    // estimate); the bit patterns must collapse to one key.
-    service_request e = a;
-    e.error_budget_pp = 0.0;
-    service_request f = a;
-    f.error_budget_pp = -3.5;
-    EXPECT_EQ(fingerprint(e), fingerprint(f));
-    EXPECT_NE(fingerprint(e), fingerprint(a)); // a's budget is positive
-}
-
 TEST(ServeKey, RejectsFilteredAndIllFormedRequests) {
     service_request filtered = base_request();
     filtered.sweep.filter =
@@ -136,11 +96,6 @@ TEST(ServeKey, RejectsFilteredAndIllFormedRequests) {
     service_request bad_grid = base_request();
     bad_grid.sweep.block_sizes = {12};
     EXPECT_THROW((void)fingerprint(bad_grid), std::invalid_argument);
-
-    service_request bad_phase = base_request();
-    bad_phase.mode = service_mode::representative;
-    bad_phase.phase.max_phases = 0;
-    EXPECT_THROW((void)fingerprint(bad_phase), std::invalid_argument);
 }
 
 TEST(ServeKey, KeySeparatesTraceAndRequest) {

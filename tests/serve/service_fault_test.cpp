@@ -1,8 +1,7 @@
 // The sweep service's failure semantics: deadlines and cancellation settle
 // exactly the right waiters and skip abandoned work, transient faults
 // retry with bounded attempts while permanent faults fail immediately,
-// degraded answers shed load without poisoning the cache, and the
-// accounting balances through every storm.
+// and the accounting balances through every storm.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -152,6 +151,37 @@ TEST(ServiceFault, CoalescedWaiterWithoutDeadlineSurvivesNeighbourTimeout) {
     EXPECT_EQ(stats.completed, stats.submitted);
 }
 
+TEST(ServiceFault, FarFutureDeadlinesSaturateToNoDeadline) {
+    // A relative deadline past the clock's range is no deadline: it must
+    // neither overflow into the past nor time out on its first pickup.
+    service svc{robust_options()};
+    svc.add_trace("cjpeg", workload());
+    const core::sweep_result reference =
+        core::run_sweep(workload(), canonical(exact_request()).sweep);
+
+    // Both wait on one flight, so each deadline meets the pickup and
+    // completion sweeps.
+    svc.pause();
+    std::vector<submission> far;
+    for (const std::chrono::nanoseconds deadline :
+         {std::chrono::nanoseconds::max(),
+          std::chrono::nanoseconds::max() - 1ns}) {
+        service_request request = exact_request();
+        request.deadline = deadline;
+        far.push_back(svc.submit("cjpeg", request));
+    }
+    svc.resume();
+    for (submission& handle : far) {
+        const service_result answer = handle.get();
+        ASSERT_NE(answer.sweep, nullptr);
+        expect_identical(*answer.sweep, reference);
+    }
+    const service_stats stats = svc.stats();
+    EXPECT_EQ(stats.timeouts, 0u);
+    EXPECT_EQ(stats.computations, 1u);
+    EXPECT_EQ(stats.completed, stats.submitted);
+}
+
 TEST(ServiceFault, CancellingEveryWaiterAbandonsTheFlight) {
     service svc{robust_options()};
     svc.add_trace("cjpeg", workload());
@@ -281,46 +311,6 @@ TEST(ServiceFault, PermanentFaultsFailImmediatelyWithoutRetry) {
     EXPECT_EQ(stats.permanent_faults, 1u);
     EXPECT_EQ(stats.transient_faults, 0u);
     EXPECT_EQ(stats.completed, stats.submitted);
-}
-
-TEST(ServiceFault, DegradePolicyShedsExactLoadPastTheWatermark) {
-    service_options options = robust_options();
-    options.workers = 1;
-    options.queue_capacity = 8;
-    options.overflow = overflow_policy::degrade;
-    options.degrade_watermark = 1;
-    service svc{options};
-    svc.add_trace("cjpeg", workload());
-
-    svc.pause();
-    // First request queues two shard jobs (queue was empty: not degraded).
-    submission full = svc.submit("cjpeg", exact_request(6));
-    // Queue length 2 >= watermark 1: this exact request degrades.
-    submission shed = svc.submit("cjpeg", exact_request(7));
-    svc.resume();
-
-    const service_result full_answer = full.get();
-    EXPECT_FALSE(full_answer.degraded);
-    ASSERT_NE(full_answer.sweep, nullptr);
-
-    const service_result shed_answer = shed.get();
-    EXPECT_TRUE(shed_answer.degraded);
-    EXPECT_TRUE(shed_answer.estimated);
-    ASSERT_NE(shed_answer.estimate, nullptr);
-    EXPECT_EQ(shed_answer.sweep, nullptr); // the estimate IS the answer
-    EXPECT_FALSE(shed_answer.estimate->calibrated); // the cheap tier
-    EXPECT_EQ(svc.stats().degraded_served, 1u);
-
-    // A degraded answer is never cached: under no load the same exact
-    // question is computed exactly.
-    svc.drain();
-    const service_result again = svc.submit("cjpeg", exact_request(7)).get();
-    EXPECT_FALSE(again.degraded);
-    EXPECT_FALSE(again.cache_hit);
-    ASSERT_NE(again.sweep, nullptr);
-    expect_identical(*again.sweep,
-                     core::run_sweep(workload(),
-                                     canonical(exact_request(7)).sweep));
 }
 
 TEST(ServiceFault, ConcurrentFaultStormKeepsEveryAnswerExact) {

@@ -1,14 +1,15 @@
 // Concurrency stress: many submitter threads, a mix of identical and
-// distinct requests, both engines and both tiers.  Every returned result
-// must be bit-identical to a direct run_sweep, every duplicate must be
-// absorbed by coalescing or the cache (never recomputed), and the
-// accounting must balance exactly.  This suite is the ThreadSanitizer
-// target in CI.
+// distinct requests, both engines, two grids and two traces.  Every
+// returned result must be bit-identical to a direct run_sweep, every
+// duplicate must be absorbed by coalescing or the cache (never
+// recomputed), and the accounting must balance exactly.  This suite is the
+// ThreadSanitizer target in CI.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <future>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "dew/sweep.hpp"
@@ -181,43 +182,45 @@ TEST(ServiceStress, GatedDuplicateStormCoalescesToOneComputationExactly) {
     EXPECT_DOUBLE_EQ(stats.coalesce_factor(), static_cast<double>(total));
 }
 
-TEST(ServiceStress, MixedTiersAndTracesUnderConcurrency) {
-    // Exact and representative requests against two traces at once; every
-    // exact answer is checked bit-identical, every representative answer
-    // carries a consistent accuracy statement.
+TEST(ServiceStress, MixedGridsAndTracesUnderConcurrency) {
+    // Two exact grids against two traces at once; every answer is checked
+    // bit-identical to its direct run_sweep.
     service svc{{3, 256, overflow_policy::block, {8, 128}}};
     svc.add_trace("cjpeg", workload(trace::mediabench_app::cjpeg));
     svc.add_trace("mpeg2", workload(trace::mediabench_app::mpeg2_enc));
 
-    service_request exact;
-    exact.sweep.max_set_exp = 6;
-    exact.sweep.block_sizes = {16, 32};
-    exact.sweep.associativities = {2, 4};
+    service_request narrow;
+    narrow.sweep.max_set_exp = 6;
+    narrow.sweep.block_sizes = {16, 32};
+    narrow.sweep.associativities = {2, 4};
 
-    service_request representative = exact;
-    representative.mode = service_mode::representative;
-    representative.phase.interval_records = 2048;
-    representative.warmup_records = 4096;
-    representative.error_budget_pp = 50.0; // never falls back
+    service_request wide = narrow;
+    wide.sweep.max_set_exp = 7;
+    wide.sweep.block_sizes = {8, 16, 64};
+    wide.sweep.associativities = {4, 8};
 
-    const core::sweep_result cjpeg_reference = core::run_sweep(
-        workload(trace::mediabench_app::cjpeg), canonical(exact).sweep);
-    const core::sweep_result mpeg2_reference = core::run_sweep(
-        workload(trace::mediabench_app::mpeg2_enc), canonical(exact).sweep);
+    // references[trace][grid], trace 0 = cjpeg, grid 0 = narrow.
+    const trace::mem_trace cjpeg = workload(trace::mediabench_app::cjpeg);
+    const trace::mem_trace mpeg2 = workload(trace::mediabench_app::mpeg2_enc);
+    const core::sweep_result references[2][2] = {
+        {core::run_sweep(cjpeg, canonical(narrow).sweep),
+         core::run_sweep(cjpeg, canonical(wide).sweep)},
+        {core::run_sweep(mpeg2, canonical(narrow).sweep),
+         core::run_sweep(mpeg2, canonical(wide).sweep)}};
 
     constexpr std::size_t submitters = 4;
     std::vector<std::thread> threads;
-    std::vector<std::vector<std::tuple<bool, bool, submission>>> futures{
-        submitters};
+    std::vector<std::vector<std::tuple<std::size_t, std::size_t, submission>>>
+        futures{submitters};
     for (std::size_t t = 0; t < submitters; ++t) {
         threads.emplace_back([&, t] {
             for (std::size_t i = 0; i < 6; ++i) {
-                const bool on_cjpeg = (t + i) % 2 == 0;
-                const bool exact_tier = i % 3 != 0;
+                const std::size_t on_trace = (t + i) % 2;
+                const std::size_t grid = i % 3 == 0 ? 1 : 0;
                 futures[t].emplace_back(
-                    on_cjpeg, exact_tier,
-                    svc.submit(on_cjpeg ? "cjpeg" : "mpeg2",
-                               exact_tier ? exact : representative));
+                    on_trace, grid,
+                    svc.submit(on_trace == 0 ? "cjpeg" : "mpeg2",
+                               grid == 0 ? narrow : wide));
             }
         });
     }
@@ -225,22 +228,13 @@ TEST(ServiceStress, MixedTiersAndTracesUnderConcurrency) {
         thread.join();
     }
     for (auto& per : futures) {
-        for (auto& [on_cjpeg, exact_tier, future] : per) {
-            service_result answer = future.get();
-            if (exact_tier) {
-                ASSERT_NE(answer.sweep, nullptr);
-                EXPECT_FALSE(answer.estimated);
-                expect_identical(*answer.sweep, on_cjpeg ? cjpeg_reference
-                                                         : mpeg2_reference);
-            } else {
-                EXPECT_TRUE(answer.estimated);
-                ASSERT_NE(answer.estimate, nullptr);
-                EXPECT_FALSE(answer.fell_back_exact);
-                EXPECT_LE(answer.max_abs_error_pp, 50.0);
-            }
+        for (auto& [on_trace, grid, future] : per) {
+            const service_result answer = future.get();
+            ASSERT_NE(answer.sweep, nullptr);
+            expect_identical(*answer.sweep, references[on_trace][grid]);
         }
     }
-    // Four distinct questions (2 tiers x 2 traces): never recomputed.
+    // Four distinct questions (2 grids x 2 traces): never recomputed.
     EXPECT_EQ(svc.stats().computations, 4u);
 }
 

@@ -1,6 +1,6 @@
 // The sweep service's functional contract: exact answers bit-identical to
 // run_sweep on both engines, cache hits without recomputation,
-// deterministic coalescing, tiers, backpressure, and persistence.
+// deterministic coalescing, backpressure, and persistence.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -67,7 +67,6 @@ TEST(Service, ExactAnswersAreBitIdenticalToRunSweepOnBothEngines) {
         service_result answer = svc.submit("cjpeg", request).get();
         ASSERT_NE(answer.sweep, nullptr);
         EXPECT_FALSE(answer.cache_hit);
-        EXPECT_FALSE(answer.estimated);
         expect_identical(*answer.sweep,
                          core::run_sweep(trace, canonical(request).sweep));
     }
@@ -177,46 +176,6 @@ TEST(Service, SharedStreamsDecodeOncePerBlockSizeAcrossRequests) {
     const service_stats stats = svc.stats();
     EXPECT_EQ(stats.stream_builds, 3u);  // 16, 32, 64: decoded once each
     EXPECT_EQ(stats.stream_reuses, 3u);  // b's two shards + c's 16 shard
-}
-
-TEST(Service, RepresentativeTierReportsErrorOrFallsBack) {
-    service svc{};
-    svc.add_trace("cjpeg", workload());
-
-    service_request request = exact_request();
-    request.mode = service_mode::representative;
-    request.phase.interval_records = 2048;
-    request.warmup_records = 4096;
-    request.error_budget_pp = 2.0;
-    const service_result answer = svc.submit("cjpeg", request).get();
-    EXPECT_TRUE(answer.estimated);
-    ASSERT_NE(answer.estimate, nullptr);
-    EXPECT_TRUE(answer.estimate->calibrated);
-    if (answer.fell_back_exact) {
-        // Budget exceeded: the exact sweep was served instead.
-        ASSERT_NE(answer.sweep, nullptr);
-        expect_identical(*answer.sweep,
-                         core::run_sweep(workload(),
-                                         canonical(request).sweep));
-    } else {
-        // Budget met: the estimate's own accuracy statement proves it.
-        EXPECT_LE(answer.max_abs_error_pp, request.error_budget_pp);
-        EXPECT_EQ(answer.sweep, nullptr);
-    }
-
-    // A non-positive budget serves the cheap uncalibrated estimate.
-    service_request uncalibrated = request;
-    uncalibrated.error_budget_pp = 0.0;
-    const service_result cheap = svc.submit("cjpeg", uncalibrated).get();
-    EXPECT_TRUE(cheap.estimated);
-    ASSERT_NE(cheap.estimate, nullptr);
-    EXPECT_FALSE(cheap.estimate->calibrated);
-    EXPECT_FALSE(cheap.fell_back_exact);
-
-    // The two tiers never share cache entries with each other or with the
-    // exact mode.
-    EXPECT_FALSE(svc.submit("cjpeg", exact_request()).get().cache_hit);
-    EXPECT_TRUE(svc.submit("cjpeg", request).get().cache_hit);
 }
 
 TEST(Service, FailFastBackpressureThrowsServiceOverloaded) {

@@ -138,14 +138,14 @@ TEST(Dewlint, RepositoryAnalyzesClean) {
 }
 
 // The acceptance criterion: the real identity files, minus the one line
-// folding warmup_records, must fail identity-completeness — proving the
-// rule guards serve/key.cpp, not just the synthetic fixture.
+// folding mre_depth, must fail identity-completeness — proving the rule
+// guards serve/key.cpp, nested identity structs included, not just the
+// synthetic fixture.
 TEST(Dewlint, DeletingAHashedFieldFromKeyCppFails) {
     const std::string root{DEWLINT_REPO_ROOT};
     const std::vector<std::string> rel_paths{
-        "src/serve/key.hpp",    "src/serve/key.cpp",
-        "src/dew/sweep.hpp",    "src/dew/options.hpp",
-        "src/phase/options.hpp"};
+        "src/serve/key.hpp", "src/serve/key.cpp", "src/dew/sweep.hpp",
+        "src/dew/options.hpp"};
 
     dewlint::project intact;
     intact.root = root;
@@ -161,18 +161,18 @@ TEST(Dewlint, DeletingAHashedFieldFromKeyCppFails) {
     for (const std::string& rel : rel_paths) {
         std::string text = slurp(root + "/" + rel);
         if (rel == "src/serve/key.cpp") {
-            const std::size_t at = text.find("fold(normal.warmup_records);");
+            const std::string line = "fold(normal.sweep.options.mre_depth);";
+            const std::size_t at = text.find(line);
             ASSERT_NE(at, std::string::npos)
-                << "key.cpp no longer folds warmup_records by that exact "
+                << "key.cpp no longer folds mre_depth by that exact "
                    "spelling; update this test alongside it";
-            text.erase(at, std::string{"fold(normal.warmup_records);"}.size());
+            text.erase(at, line.size());
         }
         mutated.files.push_back(dewlint::load_source(rel, std::move(text)));
     }
     const auto after = dewlint::analyze(mutated, {"identity-completeness"});
     EXPECT_TRUE(has(after, "identity-completeness",
-                    "field 'warmup_records' of service_request is neither "
-                    "folded"))
+                    "field 'mre_depth' of dew_options is neither folded"))
         << render(after);
 }
 
