@@ -22,7 +22,10 @@
 //   sized(label, least, most, f) a u64 length in [least, most], then the
 //                                body f walks, which must fill exactly that
 //                                length
-//   levels(label, v, max_level)  max_level + 1 u64s, no prefix of their own
+//   levels(label, v, max_level)  levels 0..max_level of the array v, as
+//                                max_level + 1 u64s, no prefix of their own;
+//                                read in place, with max_level already
+//                                checked against v's size
 //
 // The cursor differs per format in three things only: the exception it
 // throws (its template argument), the format name its messages start with,
@@ -41,10 +44,10 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "common/contracts.hpp"
 
@@ -141,14 +144,12 @@ struct writer {
         body();
         store_le<8>(out.data() + at, out.size() - at - 8);
     }
-    // A default element, the one min_wire_bytes encodes, holds no levels
-    // yet and writes zeros.
-    void levels(const char*, const std::vector<std::uint64_t>& values,
+    void levels(const char*, std::span<const std::uint64_t> values,
                 std::uint32_t max_level) {
-        DEW_EXPECTS(values.size() <= std::size_t{max_level} + 1);
+        DEW_EXPECTS(max_level < values.size());
         const std::size_t at = out.size();
         out.resize(at + 8 * (std::size_t{max_level} + 1));
-        for (std::size_t level = 0; level < values.size(); ++level) {
+        for (std::size_t level = 0; level <= max_level; ++level) {
             store_le<8>(out.data() + at + 8 * level, values[level]);
         }
     }
@@ -262,16 +263,16 @@ public:
         }
         end_ = outer_end;
     }
-    void levels(const char* field, std::vector<std::uint64_t>& values,
+    void levels(const char* field, std::span<std::uint64_t> values,
                 std::uint32_t max_level) {
+        DEW_EXPECTS(max_level < values.size());
         const std::uint64_t count = std::uint64_t{max_level} + 1;
         if (count > remaining() / 8) {
             truncated(std::string{field} + " needs " + std::to_string(count) +
                       " x 8 bytes" + at(offset()));
         }
-        values.resize(static_cast<std::size_t>(count));
-        for (std::uint64_t& value : values) {
-            value = load_le<8>(next_);
+        for (std::uint64_t level = 0; level < count; ++level) {
+            values[level] = load_le<8>(next_);
             next_ += 8;
         }
     }

@@ -1,5 +1,6 @@
 #include "dew/result.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
@@ -8,18 +9,19 @@ namespace dew::core {
 
 dew_result::dew_result(unsigned max_level, std::uint32_t assoc,
                        std::uint32_t block_size, std::uint64_t requests,
-                       std::vector<std::uint64_t> misses_assoc,
-                       std::vector<std::uint64_t> misses_dm,
+                       std::span<const std::uint64_t> misses_assoc,
+                       std::span<const std::uint64_t> misses_dm,
                        dew_counters counters)
     : max_level_{max_level},
       assoc_{assoc},
       block_size_{block_size},
       requests_{requests},
-      misses_assoc_{std::move(misses_assoc)},
-      misses_dm_{std::move(misses_dm)},
       counters_{counters} {
-    DEW_EXPECTS(misses_assoc_.size() == max_level_ + 1);
-    DEW_EXPECTS(misses_dm_.size() == max_level_ + 1);
+    DEW_EXPECTS(max_level_ < level_capacity);
+    DEW_EXPECTS(misses_assoc.size() == max_level_ + 1);
+    DEW_EXPECTS(misses_dm.size() == max_level_ + 1);
+    std::copy(misses_assoc.begin(), misses_assoc.end(), misses_assoc_.begin());
+    std::copy(misses_dm.begin(), misses_dm.end(), misses_dm_.begin());
 }
 
 std::uint64_t dew_result::misses(unsigned level,

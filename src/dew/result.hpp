@@ -2,7 +2,10 @@
 #ifndef DEW_DEW_RESULT_HPP
 #define DEW_DEW_RESULT_HPP
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cache/config.hpp"
@@ -28,13 +31,18 @@ struct sweep_record_fields; // dew/result_io.hpp
 
 class dew_result {
 public:
-    // An unfilled pass, with no levels yet, for a decoder to fill in place
-    // (dew/result_io.hpp); only a filled pass may be read.
+    // Levels 0..max_level of a pass, with max_level < 32 as every
+    // simulator requires.
+    static constexpr std::size_t level_capacity = 32;
+
+    // An unfilled pass, for a decoder to fill in place (dew/result_io.hpp);
+    // only a filled pass may be read.
     dew_result() = default;
+    // The miss arrays hold levels 0..max_level.
     dew_result(unsigned max_level, std::uint32_t assoc,
                std::uint32_t block_size, std::uint64_t requests,
-               std::vector<std::uint64_t> misses_assoc,
-               std::vector<std::uint64_t> misses_dm, dew_counters counters);
+               std::span<const std::uint64_t> misses_assoc,
+               std::span<const std::uint64_t> misses_dm, dew_counters counters);
 
     // Misses of (set_count = 2^level, associativity, block size fixed).
     // associativity must be 1 or the simulated A; level <= max_level.
@@ -67,8 +75,10 @@ private:
     std::uint32_t assoc_{0};
     std::uint32_t block_size_{0};
     std::uint64_t requests_{0};
-    std::vector<std::uint64_t> misses_assoc_;
-    std::vector<std::uint64_t> misses_dm_;
+    // Inline, so a result, and a decoded sweep of results, costs no
+    // allocation per pass; levels past max_level_ stay zero.
+    std::array<std::uint64_t, level_capacity> misses_assoc_{};
+    std::array<std::uint64_t, level_capacity> misses_dm_{};
     dew_counters counters_;
 };
 

@@ -45,9 +45,9 @@ void write_counters(std::ostream& out, const dew_counters& counters);
 // implausible field (max_level >= 32, a zero associativity or block size,
 // a pass count the payload cannot hold) or a payload_bytes that disagrees
 // with the decoded structure, short or over-long, throws the reading
-// cursor's error naming the field and the byte offset.  Nothing is
-// allocated for a pass's arrays before its shape is checked, and no
-// partial result is returned.
+// cursor's error naming the field and the byte offset.  A pass's miss
+// arrays are read in place, into the result's inline storage, once
+// max_level is checked; no partial result is returned.
 inline constexpr char result_magic[4] = {'D', 'S', 'W', 'R'};
 inline constexpr std::uint32_t result_version = 1;
 

@@ -46,11 +46,17 @@
 //    bookkeeping costs more time than the searches they avoid
 //    (docs/PERF.md).  So it ignores use_mra_stop, use_wave, use_mre and
 //    mre_depth, which change the paper walk's work and never a miss.
+//    Level l stores block >> l in 32-bit words, and the search compares
+//    four tags per vector compare (SSE2 at the baseline x86-64 ISA), until
+//    the pass meets a block of 2^32 - 1 or more: that block widens the
+//    tree once, exactly, and the same walk goes on over 64-bit words
+//    (lean_tree).  The width follows from the input; nothing sets it.
 #ifndef DEW_DEW_SIMULATOR_HPP
 #define DEW_DEW_SIMULATOR_HPP
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -98,12 +104,7 @@ public:
     // log2(block size)).  run_sweep computes one such stream per block size
     // and feeds it to every associativity pass, so per-pass work never
     // touches 16-byte mem_access records again.
-    void access_block(std::uint64_t block) {
-        with_static_walk([&](auto a, auto d, auto o) {
-            access_block_impl<a(), d(), o()>(block);
-        });
-        note_requests(1); // only once the walk accepted the block
-    }
+    void access_block(std::uint64_t block) { simulate_blocks({&block, 1}); }
     void simulate_blocks(std::span<const std::uint64_t> blocks);
 
     // Exact per-configuration results (valid at any point of the pass).
@@ -224,22 +225,12 @@ private:
         });
     }
 
-    // One walk for one block number: the paper walk or the lean walk.
-    // Force-inlined into the simulate loops: as a standalone call the walk
-    // reloads members (options, tree base, stride, counters) per access;
-    // inlined, they are hoisted into registers across the whole trace —
-    // measured at ~25% of hot-loop time on the micro trace.  Plain
-    // `inline` is not enough: GCC declines on the runtime-depth
+    // The walks are force-inlined into the stream loops: as a standalone
+    // call a walk reloads members (options, tree base, stride, counters)
+    // per access; inlined, they are hoisted into registers across the
+    // whole trace — measured at ~25% of hot-loop time on the micro trace.
+    // Plain `inline` is not enough: GCC declines on the runtime-depth
     // specialisations.
-    template <std::uint32_t StaticAssoc, std::uint32_t StaticDepth,
-              bool AllOpts>
-    DEW_ALWAYS_INLINE void access_block_impl(std::uint64_t block) {
-        if constexpr (counted) {
-            paper_walk<StaticAssoc, StaticDepth, AllOpts>(block);
-        } else {
-            lean_walk<StaticAssoc>(block);
-        }
-    }
 
     // Algorithms 1 and 2 as published, counting every node visit and tag
     // comparison (full_counters only).
@@ -247,21 +238,62 @@ private:
               bool AllOpts>
     DEW_ALWAYS_INLINE void paper_walk(std::uint64_t block);
 
-    // MRA stop, contiguous tag search, FIFO insert (fast only).
-    template <std::uint32_t StaticAssoc>
-    DEW_ALWAYS_INLINE void lean_walk(std::uint64_t block);
+    // MRA stop, contiguous tag search, FIFO insert (fast only), on the
+    // tree's words of type Word.
+    template <std::uint32_t StaticAssoc, class Word>
+    DEW_ALWAYS_INLINE void lean_walk(Word* records, std::uint64_t block);
 
-    // The whole-stream loop of one static-assoc specialisation.  noinline
-    // keeps each specialisation a compact standalone function.
+    // Whether `tag` is one of the A tags at `tags`.
+    template <std::uint32_t StaticAssoc, class Word>
+    DEW_ALWAYS_INLINE static bool holds(const Word* tags, Word tag,
+                                        std::uint64_t assoc);
+
+    // The block number of one stream element: streams are pre-decoded
+    // block numbers or mem_access records.
+    [[nodiscard]] static std::uint64_t block_of(std::uint64_t block,
+                                                unsigned) noexcept {
+        return block;
+    }
+    [[nodiscard]] static std::uint64_t
+    block_of(const trace::mem_access& reference, unsigned block_bits) noexcept {
+        return reference.address >> block_bits;
+    }
+
+    // The lean walk over [first, last) on words of type Word, advancing
+    // `first` past every block it accepts.  A 32-bit stream stops at the
+    // first block that does not fit its words.
+    template <std::uint32_t StaticAssoc, class Word, class Input>
+    DEW_ALWAYS_INLINE void lean_stream(Word* records, const Input*& first,
+                                       const Input* last, unsigned block_bits);
+
+    // The one stream loop behind access, simulate_chunk and
+    // simulate_blocks, per static shape and element type.  noinline keeps
+    // each specialisation a compact standalone function.
     // dewlint: hot-loop begin dew-stream
     template <std::uint32_t StaticAssoc, std::uint32_t StaticDepth,
-              bool AllOpts>
-    DEW_NOINLINE void run_blocks(const std::uint64_t* first,
-                                 const std::uint64_t* last) {
-        const std::uint64_t* const begin = first;
+              bool AllOpts, class Input>
+    DEW_NOINLINE void run(const Input* first, const Input* const last) {
+        const Input* const begin = first;
+        const unsigned block_bits = block_bits_;
         try {
-            for (; first != last; ++first) {
-                access_block_impl<StaticAssoc, StaticDepth, AllOpts>(*first);
+            if constexpr (counted) {
+                for (; first != last; ++first) {
+                    paper_walk<StaticAssoc, StaticDepth, AllOpts>(
+                        block_of(*first, block_bits));
+                }
+            } else {
+                if (!tree_.wide()) {
+                    lean_stream<StaticAssoc>(
+                        tree_.template records<std::uint32_t>(), first, last,
+                        block_bits);
+                    if (first != last) {
+                        tree_.widen();
+                    }
+                }
+                // Nothing is left when the 32-bit stream took it all.
+                lean_stream<StaticAssoc>(
+                    tree_.template records<std::uint64_t>(), first, last,
+                    block_bits);
             }
         } catch (...) {
             note_requests(static_cast<std::uint64_t>(first - begin));
@@ -548,49 +580,98 @@ void basic_dew_simulator<Instrumentation>::paper_walk(std::uint64_t block) {
 }
 
 template <class Instrumentation>
-template <std::uint32_t StaticAssoc>
-void basic_dew_simulator<Instrumentation>::lean_walk(std::uint64_t block) {
+template <std::uint32_t StaticAssoc, class Word>
+bool basic_dew_simulator<Instrumentation>::holds(const Word* tags,
+                                                 const Word tag,
+                                                 const std::uint64_t assoc) {
+    // A cold way holds the sentinel, never a real tag, so the search is an
+    // or-reduction over all A ways, with no data-dependent branch per way.
+    // 32-bit tags are compared four lanes at a time (SSE2 at the baseline
+    // x86-64 ISA, plain GCC/Clang vector extensions) whenever A is a
+    // multiple of four: A = 4, 8, 16 and the generic walk, which runs only
+    // A >= 32.  64-bit tags are compared one by one, as SSE2 has no 64-bit
+    // lane compare.
+    if constexpr (std::is_same_v<Word, std::uint32_t> && StaticAssoc != 1 &&
+                  StaticAssoc != 2) {
+        using lanes = std::uint32_t __attribute__((vector_size(16)));
+        // A lane compare yields all-ones or zero per lane.
+        using lane_masks = std::int32_t __attribute__((vector_size(16)));
+        const lanes key = {tag, tag, tag, tag};
+        lane_masks found{};
+        for (std::uint64_t way = 0; way < assoc; way += 4) {
+            lanes four;
+            std::memcpy(&four, tags + way, sizeof four);
+            found |= four == key;
+        }
+        std::uint64_t halves[2];
+        std::memcpy(halves, &found, sizeof halves);
+        return (halves[0] | halves[1]) != 0;
+    }
+    bool resident = false;
+    for (std::uint64_t way = 0; way < assoc; ++way) {
+        resident |= tags[way] == tag;
+    }
+    return resident;
+}
+
+template <class Instrumentation>
+template <std::uint32_t StaticAssoc, class Word>
+void basic_dew_simulator<Instrumentation>::lean_walk(Word* const records,
+                                                     const std::uint64_t block) {
     // A tag scan is bounded by A and a cursor wraps modulo A; both are
     // 64-bit, as wide as any associativity the constructor accepts.
     const std::uint64_t assoc = StaticAssoc == 0 ? assoc_ : StaticAssoc;
-    // Every cold word holds the all-ones sentinel, which this block number
-    // would match as a resident tag and as an MRA certificate.
-    DEW_EXPECTS(block != cache::invalid_tag);
     const unsigned levels = max_level_ + 1;
     // Locals, not members: each tag store may alias a same-typed member.
-    std::uint64_t* const records = tree_.records();
     const std::uint64_t record_words = lean_tree::words_per_record(assoc);
     std::uint64_t* const misses_dm = misses_dm_.data();
     std::uint64_t* const misses_assoc = misses_assoc_.data();
 
     std::uint64_t slot = 0;
     std::uint64_t bit = 1;
+    // Level l holds block >> l; the caller has checked that it fits Word.
+    auto tag = static_cast<Word>(block);
     for (unsigned level = 0; level < levels;
-         ++level, slot += bit + (block & bit), bit <<= 1) {
-        std::uint64_t* const node = records + slot * record_words;
+         ++level, slot += bit + (block & bit), bit <<= 1, tag >>= 1) {
+        Word* const node = records + slot * record_words;
         // Property 2: a hit here and at every deeper level, for A and 1.
-        if (node[lean_tree::mra_word] == block) {
+        if (node[lean_tree::mra_word] == tag) {
             return;
         }
         // A direct-mapped miss: the MRA tag is that set's one block.
         ++misses_dm[level];
-        node[lean_tree::mra_word] = block;
+        node[lean_tree::mra_word] = tag;
 
-        // The A-way set: a cold way holds the sentinel, never a real block,
-        // so an or-reduction over all A ways answers, with no data-dependent
-        // branch per way.
-        const std::uint64_t* const tags = node + lean_tree::first_tag_word;
-        bool resident = false;
-        for (std::uint64_t way = 0; way < assoc; ++way) {
-            resident |= tags[way] == block;
-        }
-        if (!resident) {
+        if (!holds<StaticAssoc>(node + lean_tree::first_tag_word, tag,
+                                assoc)) {
             ++misses_assoc[level];
             const std::uint64_t victim =
                 node[lean_tree::cursor_word] & (assoc - 1);
-            node[lean_tree::first_tag_word + victim] = block;
-            node[lean_tree::cursor_word] = victim + 1;
+            node[lean_tree::first_tag_word + victim] = tag;
+            node[lean_tree::cursor_word] = static_cast<Word>(victim + 1);
         }
+    }
+}
+
+template <class Instrumentation>
+template <std::uint32_t StaticAssoc, class Word, class Input>
+void basic_dew_simulator<Instrumentation>::lean_stream(
+    Word* const records, const Input*& first, const Input* const last,
+    const unsigned block_bits) {
+    for (; first != last; ++first) {
+        const std::uint64_t block = block_of(*first, block_bits);
+        if constexpr (std::is_same_v<Word, std::uint32_t>) {
+            // The width test: the caller widens the tree and goes on.
+            if (!lean_tree::fits_narrow(block)) {
+                return;
+            }
+        } else {
+            // Every cold word holds the all-ones sentinel, which this
+            // block number would match as a resident tag and as an MRA
+            // certificate.  Only a 64-bit stream can meet it.
+            DEW_EXPECTS(block != cache::invalid_tag);
+        }
+        lean_walk<StaticAssoc>(records, block);
     }
 }
 
@@ -599,27 +680,17 @@ void basic_dew_simulator<Instrumentation>::simulate_chunk(
     std::span<const trace::mem_access> chunk) {
     // Resolve the static dispatch once for the whole chunk.
     with_static_walk([&](auto a, auto d, auto o) {
-        const trace::mem_access* reference = chunk.data();
-        const trace::mem_access* const last = reference + chunk.size();
-        try {
-            for (; reference != last; ++reference) {
-                this->template access_block_impl<a(), d(), o()>(
-                    reference->address >> block_bits_);
-            }
-        } catch (...) {
-            note_requests(static_cast<std::uint64_t>(reference - chunk.data()));
-            throw;
-        }
+        this->template run<a(), d(), o()>(chunk.data(),
+                                          chunk.data() + chunk.size());
     });
-    note_requests(chunk.size());
 }
 
 template <class Instrumentation>
 void basic_dew_simulator<Instrumentation>::simulate_blocks(
     std::span<const std::uint64_t> blocks) {
     with_static_walk([&](auto a, auto d, auto o) {
-        this->template run_blocks<a(), d(), o()>(
-            blocks.data(), blocks.data() + blocks.size());
+        this->template run<a(), d(), o()>(blocks.data(),
+                                          blocks.data() + blocks.size());
     });
 }
 // dewlint: hot-loop end dew-walk

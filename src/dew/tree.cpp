@@ -19,6 +19,11 @@ unsigned checked_max_level(unsigned max_level) {
     return max_level;
 }
 
+// A lean_tree word as the wide tree holds it.
+std::uint64_t widened(std::uint32_t word) noexcept {
+    return word == lean_tree::narrow_sentinel ? cache::invalid_tag : word;
+}
+
 } // namespace
 
 dew_tree::dew_tree(unsigned max_level, std::uint32_t associativity,
@@ -82,15 +87,29 @@ void dew_tree::clear() {
 }
 
 lean_tree::lean_tree(unsigned max_level, std::uint32_t associativity)
-    : record_words_{words_per_record(associativity)} {
-    DEW_EXPECTS(max_level < 32);
+    : record_words_{words_per_record(associativity)},
+      node_count_{(std::uint64_t{2} << checked_max_level(max_level)) - 1} {
     DEW_EXPECTS(is_pow2(associativity));
-    const std::uint64_t nodes = (std::uint64_t{1} << (max_level + 1)) - 1;
-    words_.assign(nodes * record_words_, cache::invalid_tag);
+    clear();
+}
+
+void lean_tree::widen() {
+    DEW_EXPECTS(!wide());
+    wide_.resize(narrow_.size());
+    std::transform(narrow_.begin(), narrow_.end(), wide_.begin(), widened);
+    std::vector<std::uint32_t>{}.swap(narrow_);
 }
 
 void lean_tree::clear() {
-    std::fill(words_.begin(), words_.end(), cache::invalid_tag);
+    std::vector<std::uint64_t>{}.swap(wide_);
+    narrow_.assign(node_count_ * record_words_, narrow_sentinel);
+}
+
+std::uint64_t lean_tree::word(unsigned level, std::uint64_t index,
+                              std::size_t which) const noexcept {
+    const std::uint64_t at =
+        ((std::uint64_t{1} << level) - 1 + index) * record_words_ + which;
+    return wide() ? wide_[at] : widened(narrow_[at]);
 }
 
 std::uint64_t dew_tree::paper_bits_per_level(unsigned level) const noexcept {

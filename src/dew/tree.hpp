@@ -14,7 +14,8 @@
 //    paper's comparison counts (Tables 3 and 4).
 //  * lean_tree — for the fast walk that production sweeps run: per node
 //    one contiguous record of A + 2 words, the MRA tag, the FIFO cursor
-//    and the A tags; 144 bytes at A = 16 against dew_tree's 296.
+//    and the A tags, in 32-bit words until a block does not fit them;
+//    72 bytes at A = 16 (144 once widened) against dew_tree's 296.
 //
 // dew_tree, per node (paper layout): the MRA tag, the MRE tag with its wave
 // pointer, and A tag-list entries of (tag, wave pointer) — 96 + 64*A bits.
@@ -63,6 +64,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "cache/set_model.hpp" // invalid_tag
@@ -229,14 +231,24 @@ private:
     arena_ptr storage_;
 };
 
-// The fast walk's tree: per node one record of A + 2 words in a single
-// vector,
+// The lean walk's tree: per node one record of A + 2 words,
 //     word 0          the MRA tag (Property 2, and the direct-mapped set),
 //     word 1          the FIFO cursor, read modulo A,
-//     words 2..A + 1  the A-way set's tags, contiguous for the search.
-// A cold record is all invalid_tag, so construction and clear() are one
-// fill.  The cold cursor therefore names way A - 1 first rather than way 0:
-// FIFO only needs the cursor to name the oldest (or an empty) way, and any
+//     words 2..A + 1  the A-way set's tags, contiguous for the search,
+// where level l holds a block's tag as block >> l: the set index takes the
+// low l bits, so the rest tells two blocks of one set apart.
+//
+// The words are 32 bits wide while every block the pass has seen fits one
+// (`fits_narrow`: below 2^32 - 1, so no tag reaches the all-ones
+// sentinel), which makes a node 72 bytes at A = 16.  The first block that
+// does not fit widens the tree once, exactly, to 64-bit words (`widen`):
+// each word zero-extends and the 32-bit sentinel becomes
+// cache::invalid_tag, so the wide walk goes on from the same state.
+// clear() returns to 32-bit words.
+//
+// A cold record is all sentinel, so construction and clear() are one fill.
+// The cold cursor therefore names way A - 1 first rather than way 0: FIFO
+// only needs the cursor to name the oldest (or an empty) way, and any
 // start gives the same misses.  Tag positions, unlike tag sets, are not
 // those of dew_tree.
 class lean_tree {
@@ -251,33 +263,52 @@ public:
         return first_tag_word + associativity;
     }
 
-    // Levels 0..max_level inclusive, `associativity` tags per node.
+    static constexpr std::uint32_t narrow_sentinel = ~std::uint32_t{0};
+    // Whether every tag of `block` (block >> l) fits a 32-bit word below
+    // the sentinel.
+    [[nodiscard]] static constexpr bool fits_narrow(std::uint64_t block) noexcept {
+        return block < narrow_sentinel;
+    }
+
+    // Levels 0..max_level inclusive, `associativity` tags per node; the
+    // words start 32 bits wide.
     lean_tree(unsigned max_level, std::uint32_t associativity);
 
-    // The node at flat slot s starts at records() + s * record_words().
+    [[nodiscard]] bool wide() const noexcept { return !wide_.empty(); }
+    // Turns every word into its 64-bit form; the tree must be narrow.
+    void widen();
+
+    // The node at flat slot s starts at records<Word>() + s * record_words(),
+    // where Word is std::uint32_t while narrow and std::uint64_t once wide.
     // The walk keeps the base in a local, for the aliasing reason
     // dew_tree::walker gives.
-    [[nodiscard]] std::uint64_t* records() noexcept { return words_.data(); }
+    template <class Word> [[nodiscard]] Word* records() noexcept {
+        if constexpr (std::is_same_v<Word, std::uint32_t>) {
+            return narrow_.data();
+        } else {
+            return wide_.data();
+        }
+    }
     [[nodiscard]] std::size_t record_words() const noexcept {
         return record_words_;
     }
-    // The record of the node for set `index` at `level`.
-    [[nodiscard]] const std::uint64_t* record(unsigned level,
-                                              std::uint64_t index) const noexcept {
-        return words_.data() +
-               ((std::uint64_t{1} << level) - 1 + index) * record_words_;
-    }
+    // Word `which` of the node for set `index` at `level`, as the wide
+    // tree holds it, at either width.
+    [[nodiscard]] std::uint64_t word(unsigned level, std::uint64_t index,
+                                     std::size_t which) const noexcept;
 
     [[nodiscard]] std::uint64_t node_count() const noexcept {
-        return words_.size() / record_words_;
+        return node_count_;
     }
 
-    // Reset all nodes to the cold state.
+    // Reset all nodes to the cold state, in 32-bit words.
     void clear();
 
 private:
     std::size_t record_words_; // words_per_record(associativity)
-    std::vector<std::uint64_t> words_;
+    std::uint64_t node_count_;
+    std::vector<std::uint32_t> narrow_; // empty once wide
+    std::vector<std::uint64_t> wide_;   // empty while narrow
 };
 
 } // namespace dew::core

@@ -3,13 +3,19 @@
 // insert, whatever the options say) and the `full_counters` simulator (the
 // paper walk, shaped by the options) must produce bit-identical miss counts
 // on identical input, and the pre-decoded block-stream entry point must
-// match the address entry point.
+// match the address entry point.  The lean walk keeps 32-bit tags until a
+// block of 2^32 - 1 or more widens its tree, so its inputs also cross that
+// width: at its boundary blocks, partway through every entry point, and
+// back to 32 bits after reset().
 #include "dew/simulator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "trace/generator.hpp"
 #include "trace/mediabench.hpp"
@@ -40,6 +46,27 @@ trace::mem_trace random_trace(std::uint64_t seed, std::size_t length) {
         }
         trace.push_back({address, trace::access_type::read});
     }
+    return trace;
+}
+
+// random_trace at `block_size`, turned wide at its midpoint.  The first
+// half keeps to 32-bit tags and ends on 0xFFFF'FFFE, the last block they
+// hold.  The second half starts on a first wide block (0xFFFF'FFFF for odd
+// seeds, 2^32 for even ones), moves every third reference 2^32 blocks up
+// (the same sets, other tags) and ends on the largest legal block.
+trace::mem_trace widening_trace(std::uint64_t seed, std::size_t length,
+                                std::uint32_t block_size) {
+    trace::mem_trace trace = random_trace(seed, length);
+    const unsigned bits = log2_exact(block_size);
+    const std::size_t middle = length / 2;
+    for (std::size_t i = middle; i < length; i += 3) {
+        trace[i].address += std::uint64_t{1} << (32 + bits);
+    }
+    trace[middle - 1].address = std::uint64_t{0xFFFF'FFFE} << bits;
+    trace[middle].address = (seed % 2 == 1 ? std::uint64_t{0xFFFF'FFFF}
+                                           : std::uint64_t{1} << 32)
+                            << bits;
+    trace.back().address = (~std::uint64_t{0} - 1) >> bits << bits;
     return trace;
 }
 
@@ -74,27 +101,35 @@ struct geometry {
 };
 constexpr geometry geometries[] = {{16, 9}, {1, 9}, {64, 9}, {32, 14}};
 
+// On random_trace and on its widening_trace, which turns wide inside the
+// one simulate_chunk call that simulate() makes.
 TEST(PolicyEquivalence, FastAndCountedProduceIdenticalMisses) {
     for (const std::uint64_t seed : {1ull, 42ull, 1337ull}) {
-        const trace::mem_trace trace = random_trace(seed, 30000);
+        const trace::mem_trace narrow = random_trace(seed, 30000);
         for (const geometry g : geometries) {
-            for (const std::uint32_t assoc : {1u, 2u, 4u, 8u, 16u}) {
-                for (const std::uint32_t depth : {0u, 1u, 4u}) {
-                    const dew_options options = options_for_depth(depth);
-                    dew_simulator counted{g.max_level, assoc, g.block_size,
-                                          options};
-                    fast_dew_simulator fast{g.max_level, assoc, g.block_size,
-                                            options};
-                    counted.simulate(trace);
-                    fast.simulate(trace);
-                    EXPECT_EQ(counted.requests(), fast.requests());
-                    expect_same_misses(
-                        counted.result(), fast.result(),
-                        "seed " + std::to_string(seed) + " B " +
-                            std::to_string(g.block_size) + " depth " +
-                            std::to_string(g.max_level) + " A " +
-                            std::to_string(assoc) + " mre_depth " +
-                            std::to_string(depth));
+            const trace::mem_trace wide =
+                widening_trace(seed, 30000, g.block_size);
+            for (const trace::mem_trace* trace : {&narrow, &wide}) {
+                for (const std::uint32_t assoc : {1u, 2u, 4u, 8u, 16u}) {
+                    for (const std::uint32_t depth : {0u, 1u, 4u}) {
+                        const dew_options options = options_for_depth(depth);
+                        dew_simulator counted{g.max_level, assoc,
+                                              g.block_size, options};
+                        fast_dew_simulator fast{g.max_level, assoc,
+                                                g.block_size, options};
+                        counted.simulate(*trace);
+                        fast.simulate(*trace);
+                        EXPECT_EQ(fast.tree().wide(), trace == &wide);
+                        EXPECT_EQ(counted.requests(), fast.requests());
+                        expect_same_misses(
+                            counted.result(), fast.result(),
+                            std::string{trace == &wide ? "widening " : ""} +
+                                "seed " + std::to_string(seed) + " B " +
+                                std::to_string(g.block_size) + " depth " +
+                                std::to_string(g.max_level) + " A " +
+                                std::to_string(assoc) + " mre_depth " +
+                                std::to_string(depth));
+                    }
                 }
             }
         }
@@ -194,16 +229,116 @@ TEST(PolicyEquivalence, CountedSimulateBlocksKeepsExactCounters) {
 
 // Associativities without a static specialisation (32, and 512, past any
 // 8-bit cursor) fall through to the generic runtime-assoc walks, which must
-// agree with each other.
+// agree with each other, on 32-bit tags and across the widening.
 TEST(PolicyEquivalence, GenericAssocFallbackMatchesCounted) {
-    const trace::mem_trace trace = random_trace(11, 20000);
-    for (const std::uint32_t assoc : {32u, 512u}) {
-        dew_simulator counted{8, assoc, 16};
-        fast_dew_simulator fast{8, assoc, 16};
-        counted.simulate(trace);
-        fast.simulate(trace);
-        expect_same_misses(counted.result(), fast.result(),
-                           "A " + std::to_string(assoc));
+    for (const trace::mem_trace& trace :
+         {random_trace(11, 20000), widening_trace(11, 20000, 16)}) {
+        for (const std::uint32_t assoc : {32u, 512u}) {
+            dew_simulator counted{8, assoc, 16};
+            fast_dew_simulator fast{8, assoc, 16};
+            counted.simulate(trace);
+            fast.simulate(trace);
+            EXPECT_EQ(counted.requests(), fast.requests());
+            expect_same_misses(counted.result(), fast.result(),
+                               "A " + std::to_string(assoc));
+        }
+    }
+}
+
+// Every associativity the walk specialises, and the generic one.
+constexpr std::uint32_t lean_assocs[] = {1, 2, 4, 8, 16, 32};
+
+// The blocks either side of the width: 0xFFFF'FFFE is the last a 32-bit
+// tag holds, 0xFFFF'FFFF and 2^32 are the first that widen the tree, and
+// ~0 - 1 is the largest block there is.  Each one opens a stream, where a
+// width test off by one would find it among the cold ways, and is reached
+// in another after a thousand low blocks, so the widening has FIFO state
+// to carry; then it comes back amid blocks of its own sets and low blocks.
+TEST(PolicyEquivalence, WidthBoundaryBlocksMatchCounted) {
+    constexpr unsigned max_level = 9;
+    for (const std::uint64_t boundary :
+         {std::uint64_t{0xFFFF'FFFE}, std::uint64_t{0xFFFF'FFFF},
+          std::uint64_t{1} << 32, ~std::uint64_t{0} - 1}) {
+        std::vector<std::uint64_t> opened{boundary};
+        std::vector<std::uint64_t> reached;
+        for (std::uint64_t i = 0; i < 1000; ++i) {
+            reached.push_back(i * 13 % 4096);
+        }
+        reached.push_back(boundary);
+        for (std::uint64_t i = 1; i < 3000; ++i) {
+            std::uint64_t block = i * 7 % 4096;
+            if (i % 3 == 0) {
+                block = boundary;
+            } else if (i % 3 == 1) {
+                block = boundary - ((i % 37 + 1) << (max_level + 1));
+            }
+            opened.push_back(block);
+            reached.push_back(block);
+        }
+        for (const std::vector<std::uint64_t>* blocks : {&opened, &reached}) {
+            for (const std::uint32_t assoc : lean_assocs) {
+                dew_simulator counted{max_level, assoc, 1};
+                fast_dew_simulator fast{max_level, assoc, 1};
+                counted.simulate_blocks(*blocks);
+                fast.simulate_blocks(*blocks);
+                EXPECT_EQ(fast.tree().wide(),
+                          !lean_tree::fits_narrow(boundary));
+                EXPECT_EQ(counted.requests(), fast.requests());
+                expect_same_misses(
+                    counted.result(), fast.result(),
+                    std::string{blocks == &opened ? "opened" : "reached"} +
+                        " by block " + std::to_string(boundary) + " A " +
+                        std::to_string(assoc));
+            }
+        }
+    }
+}
+
+// A pass that turns wide partway through each entry point (inside one
+// simulate_blocks span, inside a 7-reference simulate_chunk chunk, between
+// single access() calls) answers as the counted walk does; after reset()
+// it walks 32-bit tags again, still exactly.
+TEST(PolicyEquivalence, WideningMidStreamMatchesCounted) {
+    constexpr unsigned max_level = 9;
+    constexpr std::uint32_t block_size = 16;
+    const trace::mem_trace wide = widening_trace(8, 20000, block_size);
+    const trace::mem_trace narrow = random_trace(9, 20000);
+    const std::vector<std::uint64_t> blocks =
+        trace::block_numbers(wide, log2_exact(block_size));
+    // The first wide reference, 10000, falls inside the 1429th chunk.
+    ASSERT_NE(wide.size() / 2 % 7, 0u);
+    for (const std::uint32_t assoc : lean_assocs) {
+        dew_simulator counted{max_level, assoc, block_size};
+        fast_dew_simulator by_span{max_level, assoc, block_size};
+        fast_dew_simulator by_chunk{max_level, assoc, block_size};
+        fast_dew_simulator by_access{max_level, assoc, block_size};
+        counted.simulate(wide);
+        by_span.simulate_blocks(blocks);
+        for (std::size_t at = 0; at < wide.size(); at += 7) {
+            by_chunk.simulate_chunk(std::span{wide}.subspan(
+                at, std::min<std::size_t>(7, wide.size() - at)));
+        }
+        for (const trace::mem_access& reference : wide) {
+            by_access.access(reference);
+        }
+        const std::string shape = "A " + std::to_string(assoc);
+        for (fast_dew_simulator* fast : {&by_span, &by_chunk, &by_access}) {
+            EXPECT_TRUE(fast->tree().wide());
+            EXPECT_EQ(counted.requests(), fast->requests());
+            expect_same_misses(counted.result(), fast->result(), shape);
+        }
+
+        counted.reset();
+        counted.simulate(narrow);
+        for (fast_dew_simulator* fast : {&by_span, &by_chunk, &by_access}) {
+            fast->reset();
+            EXPECT_FALSE(fast->tree().wide());
+            fast->simulate(narrow);
+            EXPECT_FALSE(fast->tree().wide());
+            EXPECT_EQ(counted.requests(), fast->requests());
+            expect_same_misses(counted.result(), fast->result(),
+                               shape + " after reset");
+        }
     }
 }
 

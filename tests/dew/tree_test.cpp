@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "cache/set_model.hpp"
@@ -120,23 +121,69 @@ TEST(LeanTree, RecordIsMraCursorThenTags) {
     lean_tree tree{3, 4};
     EXPECT_EQ(tree.node_count(), 15u);
     EXPECT_EQ(tree.record_words(), 6u);
+    EXPECT_FALSE(tree.wide());
     // Level 2, set 3 is flat slot 2^2 - 1 + 3 = 6.
-    EXPECT_EQ(tree.record(2, 3) - tree.record(0, 0), 6 * 6);
+    tree.records<std::uint32_t>()[6 * 6 + lean_tree::cursor_word] = 5;
+    EXPECT_EQ(tree.word(2, 3, lean_tree::cursor_word), 5u);
+    tree.widen();
+    EXPECT_TRUE(tree.wide());
+    EXPECT_EQ(tree.records<std::uint64_t>()[6 * 6 + lean_tree::cursor_word],
+              5u);
+    EXPECT_EQ(tree.word(2, 3, lean_tree::cursor_word), 5u);
 }
 
 TEST(LeanTree, ColdAndClearedRecordsAreAllSentinel) {
     lean_tree tree{2, 2};
+    const std::size_t words = tree.node_count() * tree.record_words();
     const auto all_cold = [&] {
-        const std::uint64_t* words = tree.record(0, 0);
-        return std::all_of(words, words + tree.node_count() * tree.record_words(),
-                           [](std::uint64_t w) { return w == cache::invalid_tag; });
+        if (tree.wide()) {
+            const std::uint64_t* wide = tree.records<std::uint64_t>();
+            return std::all_of(wide, wide + words, [](std::uint64_t w) {
+                return w == cache::invalid_tag;
+            });
+        }
+        const std::uint32_t* narrow = tree.records<std::uint32_t>();
+        return std::all_of(narrow, narrow + words, [](std::uint32_t w) {
+            return w == lean_tree::narrow_sentinel;
+        });
     };
     EXPECT_TRUE(all_cold());
-    tree.records()[tree.record_words() + lean_tree::mra_word] = 7;
-    tree.records()[lean_tree::cursor_word] = 1;
+    tree.records<std::uint32_t>()[tree.record_words() + lean_tree::mra_word] = 7;
+    tree.records<std::uint32_t>()[lean_tree::cursor_word] = 1;
     EXPECT_FALSE(all_cold());
     tree.clear();
     EXPECT_TRUE(all_cold());
+    // A cold tree widens cold, and clear() goes back to 32-bit words.
+    tree.widen();
+    EXPECT_TRUE(all_cold());
+    tree.records<std::uint64_t>()[lean_tree::mra_word] = 7;
+    EXPECT_FALSE(all_cold());
+    tree.clear();
+    EXPECT_FALSE(tree.wide());
+    EXPECT_TRUE(all_cold());
+}
+
+// Widening zero-extends every word, cursors included, and turns only the
+// 32-bit sentinel into the 64-bit one.
+TEST(LeanTree, WideningZeroExtendsEveryWordAndMapsTheSentinel) {
+    lean_tree tree{1, 2}; // 3 nodes x 4 words
+    const std::uint32_t values[] = {0, 1, 2, 0x8000'0000, 0xFFFF'FFFE,
+                                    lean_tree::narrow_sentinel};
+    const std::size_t words = tree.node_count() * tree.record_words();
+    std::uint32_t* narrow = tree.records<std::uint32_t>();
+    for (std::size_t i = 0; i < words; ++i) {
+        narrow[i] = values[i % std::size(values)];
+    }
+    tree.widen();
+    const std::uint64_t* wide = tree.records<std::uint64_t>();
+    for (std::size_t i = 0; i < words; ++i) {
+        const std::uint32_t before = values[i % std::size(values)];
+        EXPECT_EQ(wide[i], before == lean_tree::narrow_sentinel
+                               ? cache::invalid_tag
+                               : std::uint64_t{before})
+            << "word " << i;
+    }
+    EXPECT_THROW(tree.widen(), contract_violation);
 }
 
 TEST(LeanTree, RejectsInvalidGeometry) {
@@ -147,21 +194,29 @@ TEST(LeanTree, RejectsInvalidGeometry) {
 // The lean walk's tree holds exactly the reference FIFO sets (as sets: a
 // cold cursor starts at way A - 1, so positions differ from dew_tree's),
 // and every MRA tag is the last block that mapped to its set, including
-// the sets a stopped walk never visited.
-TEST(LeanTree, HoldsTheReferenceFifoSetsAfterEveryAccess) {
+// the sets a stopped walk never visited.  Level l holds a block as
+// block >> l, and the tree is wide from the first block of 2^32 - 1 or
+// more on, never before.
+void expect_reference_fifo_sets(const trace::mem_trace& trace) {
     constexpr unsigned max_level = 4;
     constexpr std::uint32_t assoc = 4;
-    fast_dew_simulator sim{max_level, assoc, 4};
+    constexpr unsigned block_bits = 2;
+    fast_dew_simulator sim{max_level, assoc, 1u << block_bits};
     std::vector<cache::fifo_cache_state> reference;
     std::vector<std::uint64_t> last(std::size_t{2} << max_level,
                                     cache::invalid_tag);
     for (unsigned level = 0; level <= max_level; ++level) {
         reference.emplace_back(std::uint32_t{1} << level, assoc);
     }
-    const auto trace = trace::make_random_trace(0, 512, 3000, 21, 4);
+    const auto stored = [](std::uint64_t block, unsigned level) {
+        return block == cache::invalid_tag ? block : block >> level;
+    };
+    bool wide = false;
     for (const auto& access : trace) {
         sim.access(access.address);
-        const std::uint64_t block = access.address >> 2;
+        const std::uint64_t block = access.address >> block_bits;
+        wide = wide || !lean_tree::fits_narrow(block);
+        ASSERT_EQ(sim.tree().wide(), wide) << "block " << block;
         for (unsigned level = 0; level <= max_level; ++level) {
             const auto set =
                 static_cast<std::uint32_t>(block & low_mask(level));
@@ -170,15 +225,16 @@ TEST(LeanTree, HoldsTheReferenceFifoSetsAfterEveryAccess) {
         }
         for (unsigned level = 0; level <= max_level; ++level) {
             for (std::uint32_t set = 0; set < (1u << level); ++set) {
-                const std::uint64_t* record = sim.tree().record(level, set);
-                ASSERT_EQ(record[lean_tree::mra_word],
-                          last[(std::size_t{1} << level) - 1 + set]);
-                std::vector<std::uint64_t> lean(
-                    record + lean_tree::first_tag_word,
-                    record + lean_tree::first_tag_word + assoc);
+                ASSERT_EQ(sim.tree().word(level, set, lean_tree::mra_word),
+                          stored(last[(std::size_t{1} << level) - 1 + set],
+                                 level));
+                std::vector<std::uint64_t> lean;
                 std::vector<std::uint64_t> fifo;
                 for (std::uint32_t way = 0; way < assoc; ++way) {
-                    fifo.push_back(reference[level].tag_at(set, way));
+                    lean.push_back(sim.tree().word(
+                        level, set, lean_tree::first_tag_word + way));
+                    fifo.push_back(
+                        stored(reference[level].tag_at(set, way), level));
                 }
                 std::sort(lean.begin(), lean.end());
                 std::sort(fifo.begin(), fifo.end());
@@ -186,6 +242,22 @@ TEST(LeanTree, HoldsTheReferenceFifoSetsAfterEveryAccess) {
             }
         }
     }
+}
+
+TEST(LeanTree, HoldsTheReferenceFifoSetsAfterEveryAccess) {
+    const auto narrow = trace::make_random_trace(0, 512, 3000, 21, 4);
+    {
+        SCOPED_TRACE("32-bit words throughout");
+        expect_reference_fifo_sets(narrow);
+    }
+    // From a third of the way in, every other reference moves 2^32 blocks
+    // up: the same sets, other tags, and blocks past the 32-bit width.
+    auto widening = narrow;
+    for (std::size_t i = widening.size() / 3; i < widening.size(); i += 2) {
+        widening[i].address += std::uint64_t{1} << 34;
+    }
+    SCOPED_TRACE("widened a third of the way in");
+    expect_reference_fifo_sets(widening);
 }
 
 } // namespace
